@@ -11,7 +11,7 @@ for label in ("A2", "B2", "G2"):
     rs = build_root_system(label[0], int(label[1]))
     group = enumerate_weyl_group(rs)
     print("%s: %d positive roots, |W| = %d" % (label, len(rs.positive_roots), len(group)))
-    print("   rho in simple-root coordinates:", rs.rho)
+    print("   rho in Dynkin labels:", rs.rho)
 
 a2 = build_root_system("A", 2)
 print()

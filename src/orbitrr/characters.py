@@ -33,8 +33,7 @@ def weyl_dim(rs: RootSystem, labels) -> int:
     """Dimension of the irreducible representation with the given
     dominant integral highest weight."""
     labels = check_weight(rs, labels, dominant=True, integral=True)
-    lam = rs.weight_vector(labels)
-    shifted = vec_add(lam, rs.rho)
+    shifted = vec_add(labels, rs.rho)
     num = Fraction(1)
     den = Fraction(1)
     for g in rs.positive_roots:
@@ -52,8 +51,7 @@ def orbit_volume(rs: RootSystem, labels) -> Fraction:
 
     The point need not be a weight; it must stay off every Weyl wall.
     """
-    labels = vec(labels)
-    point = rs.weight_vector(labels)
+    point = vec(labels)
     num = Fraction(1)
     den = Fraction(1)
     for g in rs.positive_roots:
@@ -71,7 +69,7 @@ def weyl_denominator(rs: RootSystem, trunc: int) -> TruncatedSeries:
     """prod over positive roots of (e^{(gamma,X)/2} - e^{-(gamma,X)/2})."""
     out = TruncatedSeries.constant(1, rs.rank, trunc)
     for g in rs.positive_roots:
-        half = tuple(c / 2 for c in rs.dynkin(g))
+        half = tuple(Fraction(c, 2) for c in g)
         out = out * (TruncatedSeries.exp_linear(half, trunc)
                      - TruncatedSeries.exp_linear(tuple(-c for c in half), trunc))
     return out
@@ -81,18 +79,18 @@ def character_series(rs: RootSystem, labels, trunc: int) -> TruncatedSeries:
     """Degree-truncated character class of the dominant integral weight.
 
     Variables are the coordinates dual to the integer-lattice basis, so a
-    weight mu enters through the linear form sum_i <mu, u_i> X_i.  The
-    constant term is the Weyl dimension.
+    weight mu enters through the linear form sum_i mu_i X_i of its Dynkin
+    labels.  The constant term is the Weyl dimension.
     """
     if trunc < 0:
         raise ValueError("truncation degree must be >= 0")
     labels = check_weight(rs, labels, dominant=True, integral=True)
     m = len(rs.positive_roots)
     work = trunc + m
-    shifted = vec_add(rs.weight_vector(labels), rs.rho)
+    shifted = vec_add(labels, rs.rho)
     numerator = TruncatedSeries(rs.rank, {}, work)
     for w in enumerate_weyl_group(rs):
-        numerator = numerator + TruncatedSeries.exp_linear(rs.dynkin(w.act(shifted)), work) * w.sign
+        numerator = numerator + TruncatedSeries.exp_linear(w.act(shifted), work) * w.sign
     root_poly = positive_root_product(rs)
     try:
         reduced = numerator.divide_exact(root_poly)

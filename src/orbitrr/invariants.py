@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import GeneratorDeficiencyError
-from .linalg import Vec, solve_exact
+from .linalg import Vec, rref, solve_exact
 from .roots import RootSystem, enumerate_weyl_group
 from .series import TruncatedSeries
 
@@ -41,7 +41,7 @@ def orbit_power_sum(rs: RootSystem, v: Vec, degree: int) -> TruncatedSeries:
     """sum over the W-orbit of v of the linear form <mu, X>^degree."""
     out = TruncatedSeries(rs.rank, {}, None)
     for mu in weyl_orbit(rs, v):
-        out = out + TruncatedSeries.linear_form(rs.dynkin(mu)) ** degree
+        out = out + TruncatedSeries.linear_form(mu) ** degree
     return out
 
 
@@ -113,21 +113,8 @@ def _recip_coefficient(coeffs: list[Fraction], degree: int) -> Fraction:
 
 def _span_dimension(polys: list[TruncatedSeries]) -> int:
     monos = sorted({m for p in polys for m in p.coeffs})
-    rows = [[p.coeffs.get(m, Fraction(0)) for m in monos] for p in polys]
-    rank = 0
-    for col in range(len(monos)):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    rows = [[p.coeffs.get(m, 0) for m in monos] for p in polys]
+    return len(rref(rows, len(monos))[1])
 
 
 def _monomials_of_weighted_degree(degrees, target: int):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .linalg import rref
 from .localization import BaseIntersectionOracle, FixedPointDatum
 from .residues import RatExpTerm, make_term
 from .roots import RootSystem, parse_group_label
@@ -30,12 +31,26 @@ def parse_fraction(s) -> Fraction:
     raise ValueError("expected an integer or a 'p/q' string, got %r" % (s,))
 
 
-def vector_to_json(v) -> list[str]:
-    return [fraction_to_str(c) for c in v]
-
-
 def parse_vector(v) -> tuple[Fraction, ...]:
+    if not isinstance(v, list):
+        raise ValueError("expected a list of rationals, got %r" % (v,))
     return tuple(parse_fraction(c) for c in v)
+
+
+def _parse_covector(v, n: int, what: str) -> tuple[Fraction, ...]:
+    out = parse_vector(v)
+    if len(out) != n:
+        raise ValueError("%s %r has %d entries, expected %d" % (what, v, len(out), n))
+    return out
+
+
+def _load_object(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("%s: top level must be a JSON object, not %s"
+                         % (path, type(doc).__name__))
+    return doc
 
 
 def parse_weight_labels(text: str) -> tuple[Fraction, ...]:
@@ -51,21 +66,6 @@ def canonical_json(obj) -> str:
 # fixed-point data files
 
 
-def fixed_points_to_json(group: str, points) -> dict:
-    return {
-        "group": group,
-        "fixed_points": [
-            {
-                "label": pt.label,
-                "moment": vector_to_json(pt.moment),
-                "tangent_weights": [vector_to_json(w) for w in pt.tangent_weights],
-                "symplectic_factor": fraction_to_str(pt.symplectic_factor),
-            }
-            for pt in points
-        ],
-    }
-
-
 def parse_fixed_points(doc: dict) -> tuple[RootSystem, tuple[FixedPointDatum, ...]]:
     rs = parse_group_label(doc["group"])
     points = []
@@ -76,16 +76,16 @@ def parse_fixed_points(doc: dict) -> tuple[RootSystem, tuple[FixedPointDatum, ..
         factor = entry.get("symplectic_factor", entry.get("symplectic_exponent", 1))
         points.append(FixedPointDatum(
             label=str(entry.get("label", "F%d" % len(points))),
-            moment=parse_vector(entry["moment"]),
-            tangent_weights=tuple(parse_vector(w) for w in entry["tangent_weights"]),
+            moment=_parse_covector(entry["moment"], rs.rank, "moment"),
+            tangent_weights=tuple(_parse_covector(w, rs.rank, "tangent weight")
+                                  for w in entry["tangent_weights"]),
             symplectic_factor=parse_fraction(factor),
         ))
     return rs, tuple(points)
 
 
 def load_fixed_points(path) -> tuple[RootSystem, tuple[FixedPointDatum, ...]]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_fixed_points(json.load(fh))
+    return parse_fixed_points(_load_object(path))
 
 
 # ----------------------------------------------------------------------
@@ -111,8 +111,7 @@ def parse_base_oracle(doc: dict) -> tuple[RootSystem, BaseIntersectionOracle]:
 
 
 def load_base_oracle(path) -> tuple[RootSystem, BaseIntersectionOracle]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_base_oracle(json.load(fh))
+    return parse_base_oracle(_load_object(path))
 
 
 # ----------------------------------------------------------------------
@@ -129,8 +128,13 @@ def parse_residue_problem(doc: dict) -> dict:
     terms: list[RatExpTerm] = []
     for t in doc["terms"]:
         num = _parse_poly(t.get("num", [[[0] * num_vars, "1"]]), num_vars)
-        phase = parse_vector(t["phase"])
-        dens = [(parse_vector(form), int(mult)) for form, mult in t["dens"]]
+        phase = _parse_covector(t["phase"], num_vars, "phase")
+        dens = [(_parse_covector(form, num_vars, "denominator"), int(mult))
+                for form, mult in t["dens"]]
+        if len(rref([form for form, _ in dens], num_vars)[1]) < num_vars:
+            # such a term has no iterated residue: it would silently add 0
+            raise ValueError("the denominators of term %d do not span the %d variables"
+                             % (len(terms), num_vars))
         terms.append(make_term(num_vars, num, phase, dens))
     coords = doc.get("coords")
     if coords is not None:
@@ -139,14 +143,13 @@ def parse_residue_problem(doc: dict) -> dict:
     return {
         "vars": num_vars,
         "terms": terms,
-        "xi": parse_vector(doc["xi"]),
+        "xi": _parse_covector(doc["xi"], num_vars, "xi"),
         "coords": coords,
     }
 
 
 def load_residue_problem(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return parse_residue_problem(json.load(fh))
+    return parse_residue_problem(_load_object(path))
 
 
 def fixture_path(name: str):

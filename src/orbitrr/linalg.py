@@ -25,13 +25,9 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vec_scale(c, v: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
 def vec_dot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+    """Dot product; stays an int when both vectors are integer."""
+    return sum(a * b for a, b in zip(u, v, strict=True))
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
@@ -44,46 +40,55 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def identity(n: int) -> Mat:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def rref(m, ncols: int) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Reduced row echelon form over the rationals, pivoting only in the
+    first `ncols` columns (the rest are carried along, e.g. right-hand
+    sides).  Entries are coerced to Fraction, so int input stays exact.
+
+    Returns (rows, pivot columns, scale), where scale is the product of
+    the pivots negated once per row swap: det(m) for a square m of full
+    rank.
+    """
+    rows = [[Fraction(x) for x in row] for row in m]
+    pivots: list[int] = []
+    scale = Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            scale = -scale
+        p = rows[r][c]
+        scale *= p
+        rows[r] = [x / p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots, scale
 
 
 def mat_det(m: Mat) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
     n = len(m)
-    rows = [list(r) for r in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] * inv
-                for c in range(col, n):
-                    rows[r][c] -= f * rows[col][c]
-    return det
+    _, pivots, scale = rref(m, n)
+    return scale if len(pivots) == n else Fraction(0)
 
 
 def mat_inv(m: Mat) -> Mat:
     """Exact inverse; raises ZeroDivisionError on singular input."""
     n = len(m)
-    rows = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    rows, pivots, _ = rref([list(r) + [int(i == j) for j in range(n)]
+                            for i, r in enumerate(m)], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in rows)
 
 
@@ -94,64 +99,28 @@ def solve_exact(a: Mat, b: list[Vec]) -> list[Vec] | None:
     Returns one exact solution per rhs (free variables set to 0), or None
     when any rhs is inconsistent.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    nrhs = len(b)
-    aug = [list(a[i]) + [b[k][i] for k in range(nrhs)] for i in range(nrows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if any(aug[i][ncols + k] != 0 for k in range(nrhs)):
-            return None
+    ncols = len(a[0]) if a else 0
+    aug = [list(row) + [rhs[i] for rhs in b] for i, row in enumerate(a)]
+    rows, pivots, _ = rref(aug, ncols)
+    if any(x != 0 for row in rows[len(pivots):] for x in row[ncols:]):
+        return None
     out = []
-    for k in range(nrhs):
+    for k in range(len(b)):
         x = [Fraction(0)] * ncols
         for i, c in enumerate(pivots):
-            x[c] = aug[i][ncols + k]
+            x[c] = rows[i][ncols + k]
         out.append(tuple(x))
     return out
 
 
 def kernel_basis(a: Mat) -> list[Vec]:
     """Basis of the right kernel of `a`, via reduced row echelon form."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rows = [list(r) for r in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(a[0]) if a else 0
+    rows, pivots, _ = rref(a, ncols)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for i, c in enumerate(pivots):

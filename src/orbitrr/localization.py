@@ -53,15 +53,15 @@ def orbit_fixed_data(rs: RootSystem, labels) -> tuple[FixedPointDatum, ...]:
     """Torus-fixed points of the coadjoint orbit through a regular point:
     one per Weyl element, with moment value w(Lambda) and tangent weights
     the w-images of the positive roots."""
-    point = rs.weight_vector(vec(labels))
+    point = vec(labels)
     if not rs.is_regular(point):
         raise DegenerateOrbitError("orbit point lies on a Weyl wall")
     data = []
     for w in enumerate_weyl_group(rs):
         data.append(FixedPointDatum(
             label="w" + ("".join(str(i + 1) for i in w.word) or "0"),
-            moment=rs.dynkin(w.act(point)),
-            tangent_weights=tuple(rs.dynkin(w.act(g)) for g in rs.positive_roots),
+            moment=w.act(point),
+            tangent_weights=tuple(w.act(g) for g in rs.positive_roots),
         ))
     return tuple(data)
 
@@ -70,15 +70,14 @@ def coadjoint_orbit_points(rs: RootSystem, labels) -> list[tuple[Vec, tuple[Vec,
     """(moment, tangent weights) for each fixed point of one coadjoint
     orbit; the point need not be regular (smaller orbits have fewer
     fixed points and fewer tangent weights)."""
-    mu = rs.weight_vector(vec(labels))
+    mu = vec(labels)
     seen = {}
     for w in enumerate_weyl_group(rs):
         img = w.act(mu)
         if img in seen:
             continue
-        tangent = tuple(rs.dynkin(w.act(g)) for g in rs.positive_roots
-                        if rs.pairing(g, mu) > 0)
-        seen[img] = (rs.dynkin(img), tangent)
+        tangent = tuple(w.act(g) for g in rs.positive_roots if rs.pairing(g, mu) > 0)
+        seen[img] = (img, tangent)
     return list(seen.values())
 
 
@@ -140,20 +139,18 @@ def rr_orbit_fixedpoint(rs: RootSystem, labels, k: int) -> int:
     labels = check_weight(rs, labels, dominant=True, integral=True)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    lam = rs.weight_vector(labels)
     group = enumerate_weyl_group(rs)
-    root_covs = [rs.dynkin(g) for g in rs.positive_roots]
-    all_covs = [rs.dynkin(w.act(g)) for w in group for g in rs.positive_roots]
+    all_covs = [w.act(g) for w in group for g in rs.positive_roots]
     xi = _generic_direction(all_covs, rs.rank)
 
-    base_mults = sorted(abs(sum(c * x for c, x in zip(cov, xi))) for cov in root_covs)
+    base_mults = sorted(abs(sum(c * x for c, x in zip(cov, xi))) for cov in rs.positive_roots)
     exps = []
     for w in group:
-        e = k * sum(c * x for c, x in zip(rs.dynkin(w.act(lam)), xi))
+        e = k * sum(c * x for c, x in zip(w.act(labels), xi))
         sign = 1
         mults = []
         for g in rs.positive_roots:
-            c = sum(a * x for a, x in zip(rs.dynkin(w.act(g)), xi))
+            c = sum(a * x for a, x in zip(w.act(g), xi))
             mults.append(abs(c))
             if c > 0:
                 e += c
@@ -187,7 +184,7 @@ def rr_leading_coefficient(rs: RootSystem, labels) -> Fraction:
     """Leading coefficient of the polynomial k -> rr_orbit_fixedpoint(k),
     by exact finite differences on k = 0..(number of positive roots)."""
     labels = check_weight(rs, labels, dominant=True, integral=True)
-    if not rs.is_regular(rs.weight_vector(labels)):
+    if not rs.is_regular(labels):
         raise DegenerateOrbitError("leading coefficient needs a regular weight")
     m = len(rs.positive_roots)
     values = [Fraction(rr_orbit_fixedpoint(rs, labels, k)) for k in range(m + 1)]
@@ -217,11 +214,11 @@ def todd_restriction_identity(rs: RootSystem, w: WeylElement, trunc: int) -> boo
     root_poly = positive_root_product(rs)
     lhs_prod = TruncatedSeries.constant(1, rs.rank, work)
     for g in rs.positive_roots:
-        cov = rs.dynkin(w.act(g))
+        cov = w.act(g)
         lhs_prod = lhs_prod * (1 - TruncatedSeries.exp_linear(tuple(-c for c in cov), work))
     lhs = (lhs_prod.divide_exact(root_poly)).inverse() * w.sign
     rhs_unit = weyl_denominator(rs, work).divide_exact(root_poly)
-    rhs = TruncatedSeries.exp_linear(rs.dynkin(w.act(rs.rho)), trunc) * rhs_unit.inverse()
+    rhs = TruncatedSeries.exp_linear(w.act(rs.rho), trunc) * rhs_unit.inverse()
     return lhs == rhs
 
 
@@ -229,9 +226,8 @@ def todd_restriction_identity(rs: RootSystem, w: WeylElement, trunc: int) -> boo
 # residue route
 
 
-def _weight_in_root_lattice(rs: RootSystem, dynkin_cov: Vec) -> bool:
-    v = rs.weight_vector(dynkin_cov)
-    return all(c.denominator == 1 for c in v)
+def _weight_in_root_lattice(rs: RootSystem, labels: Vec) -> bool:
+    return all(c.denominator == 1 for c in rs.weight_vector(labels))
 
 
 def _check_regularity(points, rs: RootSystem, lam_cov: Vec):
@@ -240,10 +236,9 @@ def _check_regularity(points, rs: RootSystem, lam_cov: Vec):
     fatal when that value is extreme in the moment image (rank-1 test);
     interior coincidences merge into zero-phase terms that the residue
     sign rule disposes of."""
-    orbit = {w.act(rs.weight_vector(lam_cov)) for w in enumerate_weyl_group(rs)}
-    orbit_covs = {rs.dynkin(v) for v in orbit}
+    orbit = {w.act(lam_cov) for w in enumerate_weyl_group(rs)}
     moments = [pt.moment for pt in points]
-    collisions = [mu for mu in moments if mu in orbit_covs]
+    collisions = [mu for mu in moments if mu in orbit]
     if not collisions:
         return
     if rs.rank == 1:
@@ -262,7 +257,6 @@ def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
     degree-truncated product of the orbit factor prod(1 - e^{-<w gamma,X>})
     with the tangent Todd units, denominators the tangent weights."""
     l = rs.rank
-    lam_vec = rs.weight_vector(lam_labels)
     group = enumerate_weyl_group(rs)
     terms = []
     for pt in points:
@@ -277,14 +271,14 @@ def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
         for w in group:
             orbit_factor = TruncatedSeries.constant(1, l, cap)
             for g in rs.positive_roots:
-                cov = rs.dynkin(w.act(g))
+                cov = w.act(g)
                 orbit_factor = orbit_factor * (
                     1 - TruncatedSeries.exp_linear(tuple(-c for c in cov), cap))
             num = orbit_factor * todd_unit * pt.symplectic_factor
             if num.is_zero():
                 continue
             phase = tuple(k * (pm - wl) for pm, wl in
-                          zip(pt.moment, rs.dynkin(w.act(lam_vec))))
+                          zip(pt.moment, w.act(lam_labels)))
             terms.append(make_term(l, num, phase,
                                    [(t, 1) for t in pt.tangent_weights]))
     return terms
@@ -302,8 +296,7 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int, *,
     sizes = {len(pt.tangent_weights) for pt in points}
     if len(sizes) != 1:
         raise ValueError("fixed points disagree on the manifold dimension")
-    lam_vec = rs.weight_vector(lam_labels)
-    if not rs.is_regular(lam_vec):
+    if not rs.is_regular(lam_labels):
         raise DegenerateOrbitError("Lambda lies on a Weyl wall")
     scaled = tuple(k * c for c in lam_labels)
     if any(c.denominator != 1 for c in scaled):
@@ -320,7 +313,7 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int, *,
     terms = _fibration_terms(points, rs, lam_labels, k)
     group = enumerate_weyl_group(rs)
     weights = [t for pt in points for t in pt.tangent_weights]
-    weights += [rs.dynkin(w.act(g)) for w in group for g in rs.positive_roots]
+    weights += [w.act(g) for w in group for g in rs.positive_roots]
     phases = [t.phase for t in terms if any(c != 0 for c in t.phase)]
     xi = _generic_direction(weights + phases, rs.rank)
     cone = build_cone(weights, vec(xi))

@@ -19,8 +19,7 @@ from .roots import RootSystem, enumerate_weyl_group
 
 def _dominantize(rs: RootSystem, v: Vec) -> Vec:
     while True:
-        dyn = rs.dynkin(v)
-        for i, c in enumerate(dyn):
+        for i, c in enumerate(v):
             if c < 0:
                 # reflect through the i-th simple wall
                 v = vec_sub(v, tuple(c * x for x in rs.simple_roots[i]))
@@ -30,18 +29,17 @@ def _dominantize(rs: RootSystem, v: Vec) -> Vec:
 
 
 def _dominant_weights_below(rs: RootSystem, lam: Vec) -> list[Vec]:
-    """Dominant integral weights mu with lam - mu a nonnegative integer
-    combination of simple roots.  Dominant weights have nonnegative
-    simple-root coordinates, so the search space is a box."""
-    bounds = [int(c) for c in lam]
+    """Dominant weights mu with lam - mu a nonnegative integer combination
+    of simple roots.  Dominant weights have nonnegative simple-root
+    coordinates, so the search space is a box in those coordinates."""
+    bounds = [int(c) for c in rs.weight_vector(lam)]
     out = []
     for c in product(*(range(b + 1) for b in bounds)):
-        mu = tuple(lc - ci for lc, ci in zip(lam, c))
-        dyn = rs.dynkin(mu)
-        if all(x >= 0 and x.denominator == 1 for x in dyn):
-            out.append(mu)
-    out.sort(key=lambda mu: sum(lam[i] - mu[i] for i in range(rs.rank)))
-    return out
+        mu = tuple(lc - sum(ci * a[j] for ci, a in zip(c, rs.simple_roots))
+                   for j, lc in enumerate(lam))
+        if all(x >= 0 for x in mu):
+            out.append((sum(c), mu))
+    return [mu for _, mu in sorted(out, key=lambda pair: pair[0])]
 
 
 def weight_multiplicities(rs: RootSystem, labels) -> dict[tuple[int, ...], int]:
@@ -53,7 +51,7 @@ def weight_multiplicities(rs: RootSystem, labels) -> dict[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def _weight_multiplicities_cached(rs: RootSystem, labels) -> dict[tuple[int, ...], int]:
-    lam = rs.weight_vector(labels)
+    lam = tuple(int(c) for c in labels)
     rho = rs.rho
     lam_rho = vec_add(lam, rho)
     norm_top = rs.pairing(lam_rho, lam_rho)
@@ -86,8 +84,7 @@ def _weight_multiplicities_cached(rs: RootSystem, labels) -> dict[tuple[int, ...
     group = enumerate_weyl_group(rs)
     for mu, m in mult.items():
         for w in group:
-            key = tuple(int(c) for c in rs.dynkin(w.act(mu)))
-            full[key] = m
+            full[w.act(mu)] = m
     return full
 
 
@@ -121,14 +118,10 @@ def tensor_multiplicity(rs: RootSystem, factors, target) -> int:
     total = diagrams[0]
     for d in diagrams[1:]:
         total = _convolve(total, d)
-    shifted = vec_add(rs.weight_vector(target), rs.rho)
+    shifted = vec_add(target, rs.rho)
     acc = 0
     for w in enumerate_weyl_group(rs):
-        key_vec = vec_sub(w.act(shifted), rs.rho)
-        key = rs.dynkin(key_vec)
-        if any(c.denominator != 1 for c in key):
-            continue
-        acc += w.sign * total.get(tuple(int(c) for c in key), 0)
+        acc += w.sign * total.get(vec_sub(w.act(shifted), rs.rho), 0)
     if acc < 0:
         raise ArithmeticError("negative tensor multiplicity %d" % acc)
     return acc

@@ -1,16 +1,18 @@
 """Exact root-system and Weyl-group data for the simple compact groups of
 rank at most 4 (families A, B, C, D and G2).
 
-All vectors are coordinate tuples in the simple-root basis, with the
-invariant inner product given by the symmetrized Cartan matrix normalized
-so that long roots have squared length 2.  In this basis every simple
-reflection is an integer matrix, so the whole Weyl group acts by integer
-matrices and all pairings are exact rationals.
+Every weight is a tuple of Dynkin labels, the pairings against the simple
+coroots; these are the covector coordinates dual to the integer-lattice
+basis of t.  The simple root alpha_i is row i of the integer Cartan
+matrix, the fundamental weights are the unit vectors and rho is all ones.
+The simple reflection s_i acts as lambda -> lambda - lambda_i alpha_i, so
+the whole Weyl group acts by integer matrices.  The invariant form, with
+long roots of squared length 2, is stored on the weight basis as an
+integer matrix over a common denominator, so all pairings are exact.
 
-t is identified with t* through the invariant form: the integer-lattice
-basis (the simple coroots, simply connected convention) is stored as a
-tuple of covectors, and ``dynkin(v)`` gives the pairings of ``v`` against
-it, i.e. the Dynkin labels when ``v`` is a weight.
+Simple-root coordinates appear only at the edges: ``dynkin`` and
+``weight_vector`` convert between them and labels, for the root-lattice
+membership test and the Freudenthal search box.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import ConfigurationError
-from .linalg import Mat, Vec, identity, mat_det, mat_inv, mat_mul, mat_vec, vec, vec_add, vec_dot
+from .linalg import Mat, Vec, identity, mat_det, mat_inv, mat_mul, mat_vec, vec
 
 SUPPORTED = {
     "A": (1, 2, 3, 4),
@@ -55,8 +57,7 @@ def _cartan_and_lengths(family: str, rank: int) -> tuple[Mat, Vec]:
     elif family == "G":
         a[0][1], a[1][0] = -1, -3
         d = [Fraction(1, 3), Fraction(1)]
-    mat = tuple(tuple(Fraction(x) for x in row) for row in a)
-    return mat, tuple(d)
+    return tuple(tuple(row) for row in a), tuple(d)
 
 
 def positive_root_count(family: str, rank: int) -> int:
@@ -79,10 +80,16 @@ def weyl_order(family: str, rank: int) -> int:
     }[family]
 
 
+def _combine(coeffs: Vec, rows: Mat) -> Vec:
+    """sum_i coeffs_i rows_i: with the Cartan matrix as rows, simple-root
+    coordinates become Dynkin labels; with its inverse, the reverse."""
+    return tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows)))
+
+
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element: reduced word, integer matrix in the simple-root
-    basis, length, and sign = (-1)^length = det(matrix)."""
+    """A Weyl group element: reduced word, integer matrix acting on Dynkin
+    labels, length, and sign = (-1)^length = det(matrix)."""
 
     word: tuple[int, ...]
     matrix: Mat
@@ -99,61 +106,45 @@ class RootSystem:
     family: str
     rank: int
     cartan: Mat
-    d: Vec
-    gram: Mat
+    form: Mat
+    form_scale: int
     simple_roots: tuple[Vec, ...]
     positive_roots: tuple[Vec, ...]
     fundamental_weights: tuple[Vec, ...]
     rho: Vec
-    integer_lattice_basis: tuple[Vec, ...]
 
     def pairing(self, u: Vec, v: Vec) -> Fraction:
-        """Invariant bilinear form (long roots have squared length 2)."""
+        """Invariant bilinear form on Dynkin labels (long roots have squared
+        length 2): u^T form v / form_scale."""
         if len(u) != self.rank or len(v) != self.rank:
             raise ValueError("dimension mismatch with rank %d" % self.rank)
-        return vec_dot(u, mat_vec(self.gram, v))
-
-    def coroot(self, root: Vec) -> Vec:
-        n = self.pairing(root, root)
-        return tuple(2 * c / n for c in root)
+        total = sum(a * f * b for a, row in zip(u, self.form) for f, b in zip(row, v))
+        return Fraction(total, self.form_scale)
 
     def dynkin(self, v: Vec) -> Vec:
-        """Pairings of v against the simple coroots (Dynkin labels)."""
-        return tuple(self.pairing(v, u) for u in self.integer_lattice_basis)
+        """Dynkin labels of the vector with simple-root coordinates v."""
+        return _combine(v, self.cartan)
 
     def weight_vector(self, labels) -> Vec:
-        """The weight with the given Dynkin labels, in simple-root coordinates."""
+        """Simple-root coordinates of the weight with the given Dynkin labels."""
         labels = vec(labels)
         if len(labels) != self.rank:
             raise ValueError("expected %d Dynkin labels" % self.rank)
-        out = (Fraction(0),) * self.rank
-        for c, w in zip(labels, self.fundamental_weights):
-            out = vec_add(out, tuple(c * x for x in w))
-        return out
+        return _combine(labels, mat_inv(self.cartan))
 
     def is_regular(self, v: Vec) -> bool:
         return all(self.pairing(g, v) != 0 for g in self.positive_roots)
 
     def simple_reflection_matrix(self, i: int) -> Mat:
-        rows = []
-        for k in range(self.rank):
-            if k != i:
-                rows.append(tuple(Fraction(int(k == j)) for j in range(self.rank)))
-            else:
-                rows.append(tuple(Fraction(int(i == j)) - self.cartan[j][i] for j in range(self.rank)))
-        return tuple(rows)
-
-    def coroot_coordinates(self, v: Vec) -> Vec:
-        """Coordinates of v in the simple-coroot basis."""
-        return tuple(c * di for c, di in zip(v, self.d))
+        """s_i on labels: lambda -> lambda - lambda_i alpha_i."""
+        return tuple(tuple(int(j == k) - int(k == i) * self.simple_roots[i][j]
+                           for k in range(self.rank)) for j in range(self.rank))
 
     def coroot_matrix(self, w: WeylElement) -> Mat:
-        """Matrix of w acting on coroot-basis coordinates (integer entries)."""
-        cols = []
-        for j in range(self.rank):
-            img = w.act(self.integer_lattice_basis[j])
-            cols.append(self.coroot_coordinates(img))
-        return tuple(tuple(cols[j][k] for j in range(self.rank)) for k in range(self.rank))
+        """Matrix of w acting on coroot-basis coordinates of t (integer
+        entries): the transpose of the label matrix of w^-1, since the
+        label pairing <mu, X> is invariant."""
+        return tuple(zip(*mat_inv(w.matrix)))
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
@@ -171,58 +162,44 @@ def _build_cached(family: str, rank: int) -> RootSystem:
     if family not in SUPPORTED or rank not in SUPPORTED[family]:
         raise ConfigurationError("unsupported Cartan type %s%s" % (family, rank))
     cartan, d = _cartan_and_lengths(family, rank)
-    gram = tuple(tuple(cartan[i][j] * d[j] for j in range(rank)) for i in range(rank))
-    simple = tuple(tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank))
+    # invariant form on the weight basis: (omega_i, omega_j) = (A^-1)_ij d_j
+    inv = mat_inv(cartan)
+    form = [[inv[i][j] * d[j] for j in range(rank)] for i in range(rank)]
+    scale = lcm(*(x.denominator for row in form for x in row))
 
-    refl = []
-    for i in range(rank):
-        rows = []
-        for k in range(rank):
-            if k != i:
-                rows.append(tuple(Fraction(int(k == j)) for j in range(rank)))
-            else:
-                rows.append(tuple(Fraction(int(i == j)) - cartan[j][i] for j in range(rank)))
-        refl.append(tuple(rows))
-
+    # closure in simple-root coordinates, where positivity is visible:
+    # s_i changes only coordinate i, by the i-th label of the root
+    simple = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
     positive = set(simple)
     frontier = set(simple)
     while frontier:
         new = set()
         for root in frontier:
-            for s in refl:
-                img = mat_vec(s, root)
+            labels = _combine(root, cartan)
+            for i in range(rank):
+                img = root[:i] + (root[i] - labels[i],) + root[i + 1:]
                 if img not in positive and all(c >= 0 for c in img):
                     new.add(img)
         positive |= new
         frontier = new
-    pos = tuple(sorted(positive, key=lambda r: (sum(r), r)))
-    if len(pos) != positive_root_count(family, rank):
+    if len(positive) != positive_root_count(family, rank):
         raise ConfigurationError(
             "positive-root closure produced %d roots for %s%d, expected %d"
-            % (len(pos), family, rank, positive_root_count(family, rank))
-        )
-
-    inv = mat_inv(cartan)
-    fw = tuple(tuple(inv[i][k] for k in range(rank)) for i in range(rank))
-    rho = fw[0]
-    for w in fw[1:]:
-        rho = vec_add(rho, w)
-    half_sum = tuple(sum(r[k] for r in pos) / 2 for k in range(rank))
-    if rho != half_sum:
+            % (len(positive), family, rank, positive_root_count(family, rank)))
+    pos = tuple(_combine(r, cartan) for r in sorted(positive, key=lambda r: (sum(r), r)))
+    if any(sum(r[k] for r in pos) != 2 for k in range(rank)):
         raise ConfigurationError("rho mismatch for %s%d" % (family, rank))
-    coroots = tuple(tuple(simple[i][k] / d[i] for k in range(rank)) for i in range(rank))
     return RootSystem(
         label="%s%d" % (family, rank),
         family=family,
         rank=rank,
         cartan=cartan,
-        d=d,
-        gram=gram,
-        simple_roots=simple,
+        form=tuple(tuple(int(x * scale) for x in row) for row in form),
+        form_scale=scale,
+        simple_roots=cartan,
         positive_roots=pos,
-        fundamental_weights=fw,
-        rho=rho,
-        integer_lattice_basis=coroots,
+        fundamental_weights=identity(rank),
+        rho=(1,) * rank,
     )
 
 
@@ -272,7 +249,7 @@ def enumerate_weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
 
 
 def weyl_act(w: WeylElement, v: Vec) -> Vec:
-    """Apply a Weyl element to a vector in simple-root coordinates."""
+    """Apply a Weyl element to a weight given by its Dynkin labels."""
     if len(v) != len(w.matrix):
         raise ValueError("dimension mismatch")
     return w.act(vec(v))

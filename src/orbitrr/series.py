@@ -371,7 +371,7 @@ def positive_root_product(rs: RootSystem, trunc: int | None = None) -> Truncated
     the integer-lattice basis."""
     out = TruncatedSeries.constant(1, rs.rank, trunc)
     for g in rs.positive_roots:
-        out = out * TruncatedSeries.linear_form(rs.dynkin(g), trunc)
+        out = out * TruncatedSeries.linear_form(g, trunc)
     return out
 
 
@@ -392,7 +392,7 @@ def flag_integral(rs: RootSystem, p: TruncatedSeries) -> Fraction:
         raise ValueError("degree exceeds the number of positive roots")
     total = TruncatedSeries(rs.rank, {}, None)
     for w in enumerate_weyl_group(rs):
-        matrix = tuple(rs.dynkin(w.act(fw)) for fw in rs.fundamental_weights)
+        matrix = tuple(w.act(fw) for fw in rs.fundamental_weights)
         total = total + p.substitute_linear(matrix) * w.sign
     if total.is_zero():
         return Fraction(0)

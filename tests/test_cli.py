@@ -143,3 +143,27 @@ def test_fibration_group_mismatch(capsys):
                   "--fixture", str(FIXTURES / "su2_three_spheres.json"),
                   "--route", "residue")
     assert code == 1
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("fibration", {"group": "A1",
+                   "fixed_points": [{"label": "p", "moment": 5, "tangent_weights": [["2"]]}]}),
+    ("fibration", [{"group": "A1", "fixed_points": []}]),
+    ("jk-residue", {"vars": 2, "xi": ["1", "1"],
+                    "terms": [{"phase": ["1"], "dens": [[["1", "0"], 1], [["0", "1"], 1]]}]}),
+    ("jk-residue", {"vars": 2, "xi": ["1", "1"],
+                    "terms": [{"phase": ["1", "1"], "dens": [[["1", "0"], 1], [["2", "0"], 1]]}]}),
+], ids=["scalar-moment", "top-level-list", "short-phase", "non-spanning-denominators"])
+def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    if command == "jk-residue":
+        argv = [command, "--input", str(path)]
+    else:
+        argv = [command, "--weight", "1", "--k", "1", "--fixture", str(path),
+                "--route", "residue"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("input error:")
+    assert "Traceback" not in captured.err and captured.out == ""

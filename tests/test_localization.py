@@ -42,7 +42,7 @@ def test_orbit_fixed_data_su2(a1):
 def test_orbit_fixed_data_a2_rho(a2):
     data = orbit_fixed_data(a2, (1, 1))
     assert len(data) == 6
-    orbit = {tuple(a2.dynkin(w.act(a2.rho))) for w in enumerate_weyl_group(a2)}
+    orbit = {w.act(a2.rho) for w in enumerate_weyl_group(a2)}
     assert {pt.moment for pt in data} == orbit
     # product of tangent weights at w equals sign(w) times the root product
     root_poly = positive_root_product(a2)

@@ -56,3 +56,14 @@ def test_triple_product_multiplicities():
 def test_parity_zero():
     a1 = build_root_system("A", 1)
     assert tensor_multiplicity(a1, [(1,), (1,)], (1,)) == 0
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                   "C2", "C3", "C4", "D4", "G2"])
+def test_adjoint_weight_diagram(label):
+    # highest weight = highest root: every root once, the zero weight rank times
+    rs = build_root_system(label[0], int(label[1]))
+    roots = rs.positive_roots + tuple(tuple(-c for c in g) for g in rs.positive_roots)
+    expected = {g: 1 for g in roots}
+    expected[(0,) * rs.rank] = rs.rank
+    assert weight_multiplicities(rs, rs.positive_roots[-1]) == expected

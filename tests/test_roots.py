@@ -50,12 +50,17 @@ def test_structural_invariants(label):
     rs = parse_group_label(label)
     # long roots have squared length 2
     assert max(rs.pairing(g, g) for g in rs.positive_roots) == 2
-    # fundamental weights dual to the simple coroots
+    # fundamental weights are the unit label vectors, dual to the simple coroots
+    def coroot_pairing(v, a):
+        return 2 * rs.pairing(v, a) / rs.pairing(a, a)
+
     for i, fw in enumerate(rs.fundamental_weights):
-        assert rs.dynkin(fw) == tuple(Fraction(int(i == j)) for j in range(rs.rank))
+        assert fw == tuple(int(i == j) for j in range(rs.rank))
+        assert [coroot_pairing(fw, a) for a in rs.simple_roots] == list(fw)
     # rho is the sum of the fundamental weights and pairs to 1 with coroots
-    assert all(c == 1 for c in rs.dynkin(rs.rho))
-    half = tuple(sum(g[k] for g in rs.positive_roots) / 2 for k in range(rs.rank))
+    assert rs.rho == (1,) * rs.rank
+    assert all(coroot_pairing(rs.rho, a) == 1 for a in rs.simple_roots)
+    half = tuple(Fraction(sum(g[k] for g in rs.positive_roots), 2) for k in range(rs.rank))
     assert rs.rho == half
 
 
@@ -117,9 +122,14 @@ def test_pairing_conventions():
     a1 = build_root_system("A", 1)
     alpha = a1.simple_roots[0]
     assert a1.pairing(alpha, alpha) == 2
-    assert a1.dynkin(a1.fundamental_weights[0]) == (Fraction(1),)
+    assert a1.fundamental_weights[0] == (1,)
+    assert a1.pairing(a1.fundamental_weights[0], alpha) == 1
     a2 = build_root_system("A", 2)
-    assert a2.dynkin(a2.rho)[0] == 1
+    assert a2.simple_roots == ((2, -1), (-1, 2))
+    # the edge converters between labels and simple-root coordinates
+    assert a2.weight_vector(a2.rho) == (1, 1)
+    assert a2.dynkin((1, 1)) == a2.rho
+    assert a2.weight_vector((1, 0)) == (Fraction(2, 3), Fraction(1, 3))
     with pytest.raises(ValueError):
         a2.pairing((Fraction(1),), (Fraction(1), Fraction(0)))
 
