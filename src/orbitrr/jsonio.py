@@ -44,6 +44,20 @@ def _parse_covector(v, n: int, what: str) -> tuple[Fraction, ...]:
     return out
 
 
+def _list_field(obj: dict, key: str) -> list:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError("field %r must be a list, not %r" % (key, value))
+    return value
+
+
+def _parse_group(doc: dict) -> RootSystem:
+    label = doc["group"]
+    if not isinstance(label, str):
+        raise ValueError("group must be a label string such as \"A2\", not %r" % (label,))
+    return parse_group_label(label)
+
+
 def _load_object(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -67,9 +81,11 @@ def canonical_json(obj) -> str:
 
 
 def parse_fixed_points(doc: dict) -> tuple[RootSystem, tuple[FixedPointDatum, ...]]:
-    rs = parse_group_label(doc["group"])
+    rs = _parse_group(doc)
     points = []
-    for entry in doc["fixed_points"]:
+    for entry in _list_field(doc, "fixed_points"):
+        if not isinstance(entry, dict):
+            raise ValueError("fixed point %d must be an object, not %r" % (len(points), entry))
         # "symplectic_exponent" accepted as an alias: for isolated fixed
         # points the pairing value of the symplectic class is the only
         # exact semantics, so both keys carry the same rational factor
@@ -78,7 +94,7 @@ def parse_fixed_points(doc: dict) -> tuple[RootSystem, tuple[FixedPointDatum, ..
             label=str(entry.get("label", "F%d" % len(points))),
             moment=_parse_covector(entry["moment"], rs.rank, "moment"),
             tangent_weights=tuple(_parse_covector(w, rs.rank, "tangent weight")
-                                  for w in entry["tangent_weights"]),
+                                  for w in _list_field(entry, "tangent_weights")),
             symplectic_factor=parse_fraction(factor),
         ))
     return rs, tuple(points)
@@ -93,7 +109,7 @@ def load_fixed_points(path) -> tuple[RootSystem, tuple[FixedPointDatum, ...]]:
 
 
 def parse_base_oracle(doc: dict) -> tuple[RootSystem, BaseIntersectionOracle]:
-    rs = parse_group_label(doc["group"])
+    rs = _parse_group(doc)
     names = tuple(str(n) for n, _ in doc["generators"])
     degrees = tuple(int(d) for _, d in doc["generators"])
 

@@ -6,9 +6,11 @@ Three routes live here, sharing only the root-system data:
   orbit, evaluated along a generic one-parameter direction as an exact
   rational function of u = e^t and then at u -> 1.
 * ``fibration_rr_residue``: the iterated-residue route for a fibration
-  with fiber a coadjoint orbit, assembled from per-fixed-point data.
-  The overall constant of the residue theorem is calibrated once per
-  (group, half-dimension) signature and frozen.
+  with fiber a coadjoint orbit.  The integrand sums the contributions of
+  the (fixed point, Weyl element) pairs per (phase, tangent-weight
+  multiset), one term per sum.  The overall constant of the residue
+  theorem is calibrated once per (group, half-dimension) signature and
+  frozen.
 * ``fibration_rr_base``: the base-integral route, pairing the character
   class (expressed in invariant generators) against an intersection
   oracle for the reduced space at zero.
@@ -252,36 +254,54 @@ def _check_regularity(points, rs: RootSystem, lam_cov: Vec):
 
 
 def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
-    """RatExpTerms of the residue integrand: for each fixed point F and
-    Weyl element w, phase k(mu(F) - w Lambda), numerator the
+    """RatExpTerms of the residue integrand.  A fixed point F and a Weyl
+    element w contribute phase k(mu(F) - w Lambda), numerator the
     degree-truncated product of the orbit factor prod(1 - e^{-<w gamma,X>})
-    with the tangent Todd units, denominators the tangent weights."""
+    with the tangent Todd units at F, and denominators the tangent weights
+    at F.  The nonzero contributions are summed per (phase, tangent-weight
+    multiset), one term per sum; each Todd factor, Todd unit, orbit
+    factor and their product is built once per distinct input."""
     l = rs.rank
     group = enumerate_weyl_group(rs)
-    terms = []
+    todd: dict = {}
+    units: dict = {}
+    orbit: dict = {}
+    products: dict = {}
+    groups: dict = {}
     for pt in points:
         cap = len(pt.tangent_weights) - l
         if cap < 0:
             continue
-        todd_unit = TruncatedSeries.constant(1, l, cap)
-        for t in pt.tangent_weights:
-            one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
-            todd_unit = todd_unit * one_minus.divide_exact(
-                TruncatedSeries.linear_form(t)).inverse()
-        for w in group:
-            orbit_factor = TruncatedSeries.constant(1, l, cap)
-            for g in rs.positive_roots:
-                cov = w.act(g)
-                orbit_factor = orbit_factor * (
-                    1 - TruncatedSeries.exp_linear(tuple(-c for c in cov), cap))
-            num = orbit_factor * todd_unit * pt.symplectic_factor
-            if num.is_zero():
+        tangent = tuple(sorted(pt.tangent_weights))
+        if tangent not in units:
+            unit = TruncatedSeries.constant(1, l, cap)
+            for t in tangent:
+                if (t, cap) not in todd:
+                    one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
+                    todd[t, cap] = one_minus.divide_exact(
+                        TruncatedSeries.linear_form(t)).inverse()
+                unit = unit * todd[t, cap]
+            units[tangent] = unit
+        for i, w in enumerate(group):
+            if (i, cap) not in orbit:
+                factor = TruncatedSeries.constant(1, l, cap)
+                for g in rs.positive_roots:
+                    cov = w.act(g)
+                    factor = factor * (1 - TruncatedSeries.exp_linear(tuple(-c for c in cov), cap))
+                orbit[i, cap] = factor
+            if (i, tangent) not in products:
+                products[i, tangent] = orbit[i, cap] * units[tangent]
+            # a group whose contributions cancel still yields a (zero) term,
+            # so the generic direction keeps avoiding its phase
+            if products[i, tangent].is_zero() or pt.symplectic_factor == 0:
                 continue
-            phase = tuple(k * (pm - wl) for pm, wl in
-                          zip(pt.moment, w.act(lam_labels)))
-            terms.append(make_term(l, num, phase,
-                                   [(t, 1) for t in pt.tangent_weights]))
-    return terms
+            phase = tuple(k * (pm - wl) for pm, wl in zip(pt.moment, w.act(lam_labels)))
+            scalars = groups.setdefault((phase, tangent), {})
+            scalars[i] = scalars.get(i, 0) + pt.symplectic_factor
+    return [make_term(l, sum((products[i, tangent] * c for i, c in scalars.items()),
+                             TruncatedSeries(l)),
+                      phase, [(t, 1) for t in tangent])
+            for (phase, tangent), scalars in groups.items()]
 
 
 def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int, *,
@@ -312,8 +332,9 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int, *,
 
     terms = _fibration_terms(points, rs, lam_labels, k)
     group = enumerate_weyl_group(rs)
-    weights = [t for pt in points for t in pt.tangent_weights]
-    weights += [w.act(g) for w in group for g in rs.positive_roots]
+    weights = list(dict.fromkeys(
+        [t for pt in points for t in pt.tangent_weights]
+        + [w.act(g) for w in group for g in rs.positive_roots]))
     phases = [t.phase for t in terms if any(c != 0 for c in t.phase)]
     xi = _generic_direction(weights + phases, rs.rank)
     cone = build_cone(weights, vec(xi))
@@ -358,7 +379,11 @@ class CalibrationRegistry:
         """Recompute the implied constant on a case with known value and
         fail loudly if it drifted from the frozen one."""
         raw, _ = raw_fibration_residue(points, rs, lam_labels, k, seed=seed, retries=retries)
-        frozen = self.constant_for(rs, len(points[0].tangent_weights))
+        return self.check_raw(rs, len(points[0].tangent_weights), raw, expected)
+
+    def check_raw(self, rs: RootSystem, half_dim: int, raw, expected) -> Fraction:
+        """The drift check of `check` on an already computed raw residue."""
+        frozen = self.constant_for(rs, half_dim)
         if raw == 0 or Fraction(expected) / raw != frozen:
             raise CalibrationDriftError(
                 "implied constant %s differs from frozen %s"

@@ -286,6 +286,9 @@ def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
     last = tuple(base[i][n - 1] for i in range(n))
     if not cone.contains(last):
         raise ValueError("last coordinate vector must lie inside the cone")
+    # the frame change is linear and keeps distinct signatures distinct,
+    # so merging once here spares every attempt the duplicate transforms
+    terms = merge_terms(terms)
     failure: Exception | None = None
     for attempt in range(retries + 1):
         frame = _perturbed_coords(base, attempt, seed)

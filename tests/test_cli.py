@@ -153,7 +153,15 @@ def test_fibration_group_mismatch(capsys):
                     "terms": [{"phase": ["1"], "dens": [[["1", "0"], 1], [["0", "1"], 1]]}]}),
     ("jk-residue", {"vars": 2, "xi": ["1", "1"],
                     "terms": [{"phase": ["1", "1"], "dens": [[["1", "0"], 1], [["2", "0"], 1]]}]}),
-], ids=["scalar-moment", "top-level-list", "short-phase", "non-spanning-denominators"])
+    ("fibration", {"group": "A1", "fixed_points": [
+        {"label": "p", "moment": ["1"], "tangent_weights": [["2"]]}, "q", 7]}),
+    ("fibration", {"group": "A1", "fixed_points": 5}),
+    ("fibration", {"group": "A1", "fixed_points": "nope"}),
+    ("fibration", {"group": 5,
+                   "fixed_points": [{"label": "p", "moment": ["1"], "tangent_weights": [["2"]]}]}),
+], ids=["scalar-moment", "top-level-list", "short-phase", "non-spanning-denominators",
+        "non-object-fixed-point", "number-fixed-points", "string-fixed-points",
+        "number-group"])
 def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -7,12 +7,14 @@ from orbitrr.characters import orbit_volume, weyl_dim
 from orbitrr.errors import (CalibrationDriftError, DegenerateOrbitError,
                             InadmissibleInputError, SingularValueError)
 from orbitrr.localization import (BaseIntersectionOracle, CalibrationRegistry,
-                                  FixedPointDatum, coadjoint_orbit_points,
-                                  fibration_rr_base, fibration_rr_residue,
-                                  orbit_fixed_data, product_orbit_fixed_data,
-                                  raw_fibration_residue, rr_leading_coefficient,
-                                  rr_orbit_fixedpoint, todd_restriction_identity)
+                                  FixedPointDatum, _fibration_terms, _generic_direction,
+                                  coadjoint_orbit_points, fibration_rr_base,
+                                  fibration_rr_residue, orbit_fixed_data,
+                                  product_orbit_fixed_data, raw_fibration_residue,
+                                  rr_leading_coefficient, rr_orbit_fixedpoint,
+                                  todd_restriction_identity)
 from orbitrr.multiplicities import tensor_multiplicity
+from orbitrr.residues import build_cone, make_term, merge_terms, res_cone
 from orbitrr.roots import build_root_system, enumerate_weyl_group
 from orbitrr.series import TruncatedSeries, positive_root_product
 
@@ -239,3 +241,61 @@ def test_base_route_requires_dominant_integral_k_lambda(a1):
         fibration_rr_base(oracle, a1, (F(1, 2),), 1)
     with pytest.raises(ValueError):
         fibration_rr_base(oracle, a1, (-1,), 2)
+
+
+def _reference_terms(points, rs, lam, k):
+    """The literal assembly: one term per (fixed point, Weyl element) pair,
+    every factor rebuilt for every pair."""
+    l = rs.rank
+    terms = []
+    for pt in points:
+        cap = len(pt.tangent_weights) - l
+        todd_unit = TruncatedSeries.constant(1, l, cap)
+        for t in pt.tangent_weights:
+            one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
+            todd_unit = todd_unit * one_minus.divide_exact(
+                TruncatedSeries.linear_form(t)).inverse()
+        for w in enumerate_weyl_group(rs):
+            orbit_factor = TruncatedSeries.constant(1, l, cap)
+            for g in rs.positive_roots:
+                orbit_factor = orbit_factor * (
+                    1 - TruncatedSeries.exp_linear(tuple(-c for c in w.act(g)), cap))
+            num = orbit_factor * todd_unit * pt.symplectic_factor
+            if not num.is_zero():
+                phase = tuple(k * (m - x) for m, x in zip(pt.moment, w.act(lam)))
+                terms.append(make_term(l, num, phase, [(t, 1) for t in pt.tangent_weights]))
+    return terms
+
+
+def _with_factors(points, factors):
+    return tuple(FixedPointDatum(pt.label, pt.moment, pt.tangent_weights,
+                                 factors[i % len(factors)])
+                 for i, pt in enumerate(points))
+
+
+@pytest.mark.parametrize("group,factors,symplectic,lam,k", [
+    ("A1", [(1,), (2,), (1,)], None, (2,), 3),
+    ("A1", [(1,), (3,), (2,), (1,)], None, (3,), 2),
+    ("A1", [(2,), (1,), (1,), (1,), (1,)], None, (2,), 3),
+    ("A1", [(1,), (2,), (1,), (1,)], (F(1), F(2), F(-1, 3)), (1,), 2),
+    ("A2", [(2, 1), (1, 2)], None, (1, 2), 3),
+], ids=["a1-121", "a1-1321", "a1-21111", "a1-symplectic-factors", "a2-21x12"])
+def test_grouped_assembly_matches_the_literal_one(group, factors, symplectic, lam, k):
+    rs = build_root_system(group[0], int(group[1]))
+    points = product_orbit_fixed_data(rs, factors)
+    if symplectic is not None:
+        points = _with_factors(points, symplectic)
+    lam = tuple(F(c) for c in lam)
+    reference = _reference_terms(points, rs, lam, k)
+    grouped = _fibration_terms(points, rs, lam, k)
+    assert len(grouped) < len(reference)
+
+    def by_signature(terms):
+        return {t.signature(): t.numerator for t in merge_terms(terms)}
+
+    assert by_signature(grouped) == by_signature(reference)
+    weights = [t for pt in points for t in pt.tangent_weights]
+    weights += [w.act(g) for w in enumerate_weyl_group(rs) for g in rs.positive_roots]
+    phases = [t.phase for t in reference if any(t.phase)]
+    cone = build_cone(weights, _generic_direction(weights + phases, rs.rank))
+    assert res_cone(reference, cone) == raw_fibration_residue(points, rs, lam, k)

@@ -163,22 +163,37 @@ def test_res_cone_refuses_phase_on_a_denominator_ray():
         res_cone([t], cone, coords, seed=5)
 
 
-def test_res_cone_retries_recover_from_an_unlucky_frame():
+def _unlucky_frame():
     # valid input (phase off every proper span of the denominator forms),
     # but the chosen frame makes an intermediate phase vanish on a term
-    # with too little decay; a rotated retry frame rescues the computation
+    # with too little decay
     num = TruncatedSeries(3, {(1, 0, 0): F(1)})
     dens = [((F(1), F(0), F(0)), 1), ((F(0), F(1), F(0)), 1), ((F(0), F(0), F(1)), 1)]
-    phase = (F(-1), F(2), F(1))
+    term = make_term(3, num, (F(-1), F(2), F(1)), dens)
     cone = build_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (F(1), F(1), F(1)))
     bad = ((F(1), F(0), F(1)), (F(0), F(1), F(1)), (F(0), F(0), F(1)))
+    return term, cone, bad
+
+
+def test_res_cone_retries_recover_from_an_unlucky_frame():
+    # a rotated retry frame rescues the computation
+    term, cone, bad = _unlucky_frame()
     with pytest.raises(GenericityError):
-        res_cone([make_term(3, num, phase, dens)], cone, bad, seed=3, retries=0)
-    value, attempts = res_cone([make_term(3, num, phase, dens)], cone, bad, seed=3)
+        res_cone([term], cone, bad, seed=3, retries=0)
+    value, attempts = res_cone([term], cone, bad, seed=3)
     assert attempts >= 1
     good = ((F(1), F(1), F(1)), (F(0), F(1), F(2)), (F(0), F(0), F(1)))
-    reference, _ = res_cone([make_term(3, num, phase, dens)], cone, good, seed=3)
+    reference, _ = res_cone([term], cone, good, seed=3)
     assert value == reference
+
+
+def test_res_cone_of_repeated_terms_on_an_unlucky_frame():
+    # merging repeated terms changes neither the value nor the retries
+    term, cone, bad = _unlucky_frame()
+    value, attempts = res_cone([term], cone, bad, seed=3)
+    assert attempts > 0
+    assert res_cone([term] * 3, cone, bad, seed=3) == (3 * value, attempts)
+    assert res_cone([term, term.scaled(-1)], cone, bad, seed=3)[0] == 0
 
 
 def test_chamber_volume_agreement_small_corpus():
