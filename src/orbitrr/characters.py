@@ -2,10 +2,13 @@
 character class of a dominant weight.
 
 The character class is the alternating exponential sum over the Weyl
-group divided by the Weyl denominator.  The division is performed by
-factoring the product of positive roots out of the denominator (an exact
-polynomial division, which doubles as an arithmetic self-check) and
-inverting the remaining unit series.
+group divided by the Weyl denominator.  Numerator and denominator are
+both alternating exponential sums (the denominator by the Weyl
+denominator identity), built coefficient by coefficient in integers by
+``TruncatedSeries.exp_sum``.  The division is performed by factoring the
+product of positive roots out of both (an exact polynomial division,
+which doubles as an arithmetic self-check) and inverting the remaining
+unit series.
 """
 
 from __future__ import annotations
@@ -66,13 +69,15 @@ def orbit_volume(rs: RootSystem, labels) -> Fraction:
 
 
 def weyl_denominator(rs: RootSystem, trunc: int) -> TruncatedSeries:
-    """prod over positive roots of (e^{(gamma,X)/2} - e^{-(gamma,X)/2})."""
-    out = TruncatedSeries.constant(1, rs.rank, trunc)
-    for g in rs.positive_roots:
-        half = tuple(Fraction(c, 2) for c in g)
-        out = out * (TruncatedSeries.exp_linear(half, trunc)
-                     - TruncatedSeries.exp_linear(tuple(-c for c in half), trunc))
-    return out
+    """The Weyl denominator prod over positive roots gamma of
+    (e^{(gamma,X)/2} - e^{-(gamma,X)/2}), truncated at total degree trunc.
+
+    By the Weyl denominator identity this product equals the alternating
+    sum over the Weyl group of sign(w) e^{(w rho, X)}, which is how it is
+    built.
+    """
+    return TruncatedSeries.exp_sum(
+        [(w.act(rs.rho), w.sign) for w in enumerate_weyl_group(rs)], trunc)
 
 
 def character_series(rs: RootSystem, labels, trunc: int) -> TruncatedSeries:
@@ -87,10 +92,9 @@ def character_series(rs: RootSystem, labels, trunc: int) -> TruncatedSeries:
     labels = check_weight(rs, labels, dominant=True, integral=True)
     m = len(rs.positive_roots)
     work = trunc + m
-    shifted = vec_add(labels, rs.rho)
-    numerator = TruncatedSeries(rs.rank, {}, work)
-    for w in enumerate_weyl_group(rs):
-        numerator = numerator + TruncatedSeries.exp_linear(w.act(shifted), work) * w.sign
+    shifted = tuple(int(c) for c in vec_add(labels, rs.rho))  # integral, checked above
+    numerator = TruncatedSeries.exp_sum(
+        [(w.act(shifted), w.sign) for w in enumerate_weyl_group(rs)], work)
     root_poly = positive_root_product(rs)
     try:
         reduced = numerator.divide_exact(root_poly)

@@ -11,10 +11,12 @@ expected dimension count as an independent check.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
-from .errors import GeneratorDeficiencyError
+from .errors import GeneratorDeficiencyError, InternalInconsistencyError
 from .linalg import Vec, rref, solve_exact
 from .roots import RootSystem, enumerate_weyl_group
 from .series import TruncatedSeries
@@ -48,38 +50,44 @@ def orbit_power_sum(rs: RootSystem, v: Vec, degree: int) -> TruncatedSeries:
 def molien_dimension(rs: RootSystem, degree: int) -> int:
     """Dimension of the space of degree-d Weyl-invariant polynomials,
     from the Molien series (1/|W|) sum_w 1/det(1 - t w)."""
-    if degree == 0:
-        return 1
-    total = Fraction(0)
-    for w in enumerate_weyl_group(rs):
-        # det(1 - t M) as a univariate polynomial via permutation expansion
-        char = _det_one_minus_t(w.matrix)
-        total += _recip_coefficient(char, degree)
-    value = total / len(enumerate_weyl_group(rs))
-    assert value.denominator == 1
-    return int(value)
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    return _molien_counts(rs, degree)[degree]
 
 
-def _det_one_minus_t(m) -> list[Fraction]:
+def _molien_counts(rs: RootSystem, upto: int) -> list[int]:
+    """Molien counts of degrees 0..upto in one integer pass: det(1 - t w)
+    once per element, one reciprocal series per distinct polynomial."""
+    weyl = enumerate_weyl_group(rs)
+    totals = [0] * (upto + 1)
+    for char, count in Counter(_det_one_minus_t(w.matrix) for w in weyl).items():
+        for d, c in enumerate(_reciprocal(char, upto)):
+            totals[d] += count * c
+    if any(t % len(weyl) for t in totals):
+        raise InternalInconsistencyError("Molien series of %s is not integral" % rs.label)
+    return [t // len(weyl) for t in totals]
+
+
+def _det_one_minus_t(m) -> tuple[int, ...]:
+    """Coefficients of det(1 - t M) for an integer matrix, by permutation
+    expansion."""
     n = len(m)
-    from itertools import permutations
-
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for perm in permutations(range(n)):
         sign = _perm_sign(perm)
         # product of (delta_ij - t m[i][j]) entries
-        prod = [Fraction(1)]
+        prod = [1]
         for i in range(n):
-            entry0 = Fraction(int(i == perm[i]))
+            entry0 = int(i == perm[i])
             entry1 = -m[i][perm[i]]
-            nxt = [Fraction(0)] * (len(prod) + 1)
+            nxt = [0] * (len(prod) + 1)
             for e, c in enumerate(prod):
                 nxt[e] += c * entry0
                 nxt[e + 1] += c * entry1
             prod = nxt
         for e, c in enumerate(prod):
             coeffs[e] += sign * c
-    return coeffs
+    return tuple(coeffs)
 
 
 def _perm_sign(perm) -> int:
@@ -99,16 +107,12 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def _recip_coefficient(coeffs: list[Fraction], degree: int) -> Fraction:
-    """[t^degree] of 1/p(t) for p with p(0) = 1."""
-    assert coeffs[0] == 1
-    inv = [Fraction(1)] + [Fraction(0)] * degree
-    for d in range(1, degree + 1):
-        acc = Fraction(0)
-        for j in range(1, min(d, len(coeffs) - 1) + 1):
-            acc += coeffs[j] * inv[d - j]
-        inv[d] = -acc
-    return inv[degree]
+def _reciprocal(coeffs: tuple[int, ...], upto: int) -> list[int]:
+    """Coefficients of t^0..t^upto of 1/p(t), for an integer p with p(0) = 1."""
+    inv = [1] + [0] * upto
+    for d in range(1, upto + 1):
+        inv[d] = -sum(coeffs[j] * inv[d - j] for j in range(1, min(d, len(coeffs) - 1) + 1))
+    return inv
 
 
 def _span_dimension(polys: list[TruncatedSeries]) -> int:
@@ -166,10 +170,11 @@ def invariant_generators(rs: RootSystem) -> tuple[TruncatedSeries, ...]:
                 "no orbit power sum enlarges the invariants of degree %d for %s" % (d, rs.label))
         chosen.append(picked)
         chosen_degs.append(d)
+    molien = _molien_counts(rs, max(degrees))
     for d in degrees:
         prods = [p for p in _generator_products(tuple(chosen), degrees, d).values()
                  if not p.is_zero()]
-        if _span_dimension(prods) != molien_dimension(rs, d):
+        if _span_dimension(prods) != molien[d]:
             raise GeneratorDeficiencyError(
                 "generators span too little in degree %d for %s" % (d, rs.label))
     return tuple(chosen)

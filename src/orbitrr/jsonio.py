@@ -51,6 +51,32 @@ def _list_field(obj: dict, key: str) -> list:
     return value
 
 
+def _pair_list(obj: dict, key: str) -> list:
+    """A list field whose entries are two-element lists, such as
+    [monomial, coefficient] rows or [form, multiplicity] denominators."""
+    rows = _list_field(obj, key)
+    for row in rows:
+        if not isinstance(row, list) or len(row) != 2:
+            raise ValueError("entries of %r must be two-element lists, not %r" % (key, row))
+    return rows
+
+
+def _parse_int(value, what: str, least: int) -> int:
+    if not isinstance(value, int) or value < least:
+        raise ValueError("%s must be an integer >= %d, not %r" % (what, least, value))
+    return value
+
+
+def _parse_monomial(mono) -> tuple[int, ...]:
+    if not isinstance(mono, list) or not all(isinstance(e, int) for e in mono):
+        raise ValueError("expected a list of integer exponents, got %r" % (mono,))
+    return tuple(mono)
+
+
+def _parse_table(rows) -> dict[tuple[int, ...], Fraction]:
+    return {_parse_monomial(mono): parse_fraction(c) for mono, c in rows}
+
+
 def _parse_group(doc: dict) -> RootSystem:
     label = doc["group"]
     if not isinstance(label, str):
@@ -110,18 +136,13 @@ def load_fixed_points(path) -> tuple[RootSystem, tuple[FixedPointDatum, ...]]:
 
 def parse_base_oracle(doc: dict) -> tuple[RootSystem, BaseIntersectionOracle]:
     rs = _parse_group(doc)
-    names = tuple(str(n) for n, _ in doc["generators"])
-    degrees = tuple(int(d) for _, d in doc["generators"])
-
-    def parse_table(rows):
-        return {tuple(int(e) for e in mono): parse_fraction(c) for mono, c in rows}
-
+    generators = _pair_list(doc, "generators")
     oracle = BaseIntersectionOracle(
-        generator_names=names,
-        generator_degrees=degrees,
-        top_degree=int(doc["top_degree"]),
-        pairing=parse_table(doc["pairing"]),
-        todd=parse_table(doc["todd"]),
+        generator_names=tuple(str(n) for n, _ in generators),
+        generator_degrees=tuple(_parse_int(d, "generator degree", 1) for _, d in generators),
+        top_degree=_parse_int(doc["top_degree"], "top_degree", 0),
+        pairing=_parse_table(_pair_list(doc, "pairing")),
+        todd=_parse_table(_pair_list(doc, "todd")),
     )
     return rs, oracle
 
@@ -134,19 +155,18 @@ def load_base_oracle(path) -> tuple[RootSystem, BaseIntersectionOracle]:
 # standalone residue problems
 
 
-def _parse_poly(rows, num_vars: int) -> TruncatedSeries:
-    coeffs = {tuple(int(e) for e in mono): parse_fraction(c) for mono, c in rows}
-    return TruncatedSeries(num_vars, coeffs, None)
-
-
 def parse_residue_problem(doc: dict) -> dict:
-    num_vars = int(doc["vars"])
+    num_vars = _parse_int(doc["vars"], "vars", 1)
     terms: list[RatExpTerm] = []
-    for t in doc["terms"]:
-        num = _parse_poly(t.get("num", [[[0] * num_vars, "1"]]), num_vars)
+    for t in _list_field(doc, "terms"):
+        if not isinstance(t, dict):
+            raise ValueError("term %d must be an object, not %r" % (len(terms), t))
+        rows = _pair_list(t, "num") if "num" in t else [[[0] * num_vars, "1"]]
+        num = TruncatedSeries(num_vars, _parse_table(rows), None)
         phase = _parse_covector(t["phase"], num_vars, "phase")
-        dens = [(_parse_covector(form, num_vars, "denominator"), int(mult))
-                for form, mult in t["dens"]]
+        dens = [(_parse_covector(form, num_vars, "denominator"),
+                 _parse_int(mult, "denominator multiplicity", 1))
+                for form, mult in _pair_list(t, "dens")]
         if len(rref([form for form, _ in dens], num_vars)[1]) < num_vars:
             # such a term has no iterated residue: it would silently add 0
             raise ValueError("the denominators of term %d do not span the %d variables"
@@ -154,7 +174,10 @@ def parse_residue_problem(doc: dict) -> dict:
         terms.append(make_term(num_vars, num, phase, dens))
     coords = doc.get("coords")
     if coords is not None:
-        cols = [parse_vector(c) for c in coords]
+        if not isinstance(coords, list) or len(coords) != num_vars:
+            raise ValueError("coords must be null or a list of %d basis vectors, not %r"
+                             % (num_vars, coords))
+        cols = [_parse_covector(c, num_vars, "basis vector") for c in coords]
         coords = tuple(tuple(cols[j][i] for j in range(num_vars)) for i in range(num_vars))
     return {
         "vars": num_vars,

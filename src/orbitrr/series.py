@@ -6,6 +6,13 @@ degree cap, multiplication is exact), an integer ``trunc=N`` means a
 power series known modulo total degree > N.  Coefficients are stored in
 a dict keyed by exponent tuples; zero coefficients are never stored.
 
+Sums of exponentials of linear forms, such as the alternating numerator
+and denominator of the Weyl character formula, are built in closed form
+by ``TruncatedSeries.exp_sum``, one coefficient at a time and in integers
+when the forms and weights are integral; the exact division by the
+product of positive roots that follows is unchanged and stays a
+self-check.
+
 The flag-variety fiber integral also lives here: it is a pure identity
 on antisymmetrized polynomials and is the self-check that exact division
 by the product of positive roots is available.
@@ -69,10 +76,47 @@ class TruncatedSeries:
         return cls(n, coeffs, trunc)
 
     @classmethod
+    def exp_sum(cls, terms, trunc: int) -> "TruncatedSeries":
+        """sum_j c_j e^{<v_j, X>} over pairs (v_j, c_j), truncated at total
+        degree trunc.
+
+        Built one coefficient at a time: the coefficient of X^a is
+        (sum_j c_j prod_i v_{j,i}^{a_i}) / prod_i a_i!.  The sum stays a
+        Python int while the v_j and c_j are ints; the division by a! is
+        its only Fraction step.
+        """
+        terms = [(tuple(v), c) for v, c in terms]
+        if not terms:
+            raise ValueError("exp_sum needs at least one term")
+        n = len(terms[0][0])
+        if any(len(v) != n for v, _ in terms):
+            raise ValueError("exp_sum vectors differ in length")
+        if trunc is None:
+            raise ValueError("exp_sum needs a truncation degree")
+        columns = [[v[i] for v, _ in terms] for i in range(n)]
+        coeffs: dict[Monomial, Fraction] = {}
+
+        def fill(prefix: Monomial, partial: list, left: int, denom: int) -> None:
+            # partial[j] = c_j * prod over the exponents in prefix of v_{j,i}^{a_i}
+            i = len(prefix)
+            if i == n:
+                total = sum(partial)
+                if total:
+                    coeffs[prefix] = Fraction(total, denom)
+                return
+            for a in range(left + 1):
+                if a:
+                    partial = [p * x for p, x in zip(partial, columns[i])]
+                    denom *= a
+                fill(prefix + (a,), partial, left - a, denom)
+
+        fill((), [c for _, c in terms], trunc, 1)
+        return cls(n, coeffs, trunc)
+
+    @classmethod
     def exp_linear(cls, cov, trunc: int) -> "TruncatedSeries":
-        """exp of a linear form, truncated; small and frequent enough to
-        deserve a direct construction."""
-        return cls.linear_form(cov, trunc).exp()
+        """exp of a linear form, truncated: the one-term exp_sum."""
+        return cls.exp_sum([(cov, 1)], trunc)
 
     # ------------------------------------------------------------------
     # basic structure

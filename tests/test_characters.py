@@ -3,9 +3,13 @@ from itertools import product
 
 import pytest
 
-from orbitrr.characters import character_series, orbit_volume, weyl_dim
+from orbitrr.characters import character_series, orbit_volume, weyl_denominator, weyl_dim
 from orbitrr.errors import DegenerateOrbitError
+from orbitrr.multiplicities import weight_multiplicities
 from orbitrr.roots import build_root_system, enumerate_weyl_group
+from orbitrr.series import TruncatedSeries
+
+GROUPS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2"]
 
 
 def test_weyl_dim_examples():
@@ -98,3 +102,39 @@ def test_character_coefficients_polynomial_in_labels():
             values = [character_series(rs, (lam, fixed), trunc).coeffs.get(mono, F(0))
                       for lam in range(order + 2)]
             assert _finite_difference_vanishes(values, order)
+
+
+@pytest.mark.parametrize("label", GROUPS)
+def test_weyl_denominator_equals_the_root_product(label):
+    # prod over gamma > 0 of (e^{gamma/2} - e^{-gamma/2}) through degree m + 2
+    rs = build_root_system(label[0], int(label[1]))
+    m = len(rs.positive_roots)
+    literal = TruncatedSeries.constant(1, rs.rank, None)
+    for k, g in enumerate(rs.positive_roots, 1):
+        half = tuple(F(c, 2) for c in g)
+        # every factor has minimal degree 1, so degrees above 3 in one
+        # factor, or above k + 2 after k factors, cannot reach degree m + 2
+        factor = (TruncatedSeries.linear_form(half, 3).exp()
+                  - TruncatedSeries.linear_form(tuple(-c for c in half), 3).exp())
+        literal = (literal * factor.as_polynomial()).truncate(k + 2).as_polynomial()
+    assert weyl_denominator(rs, m + 2) == literal.truncate(m + 2)
+
+
+def _freudenthal_character(rs, labels, trunc):
+    # sum over the weight diagram of m_mu e^{<mu, X>}, one exponential per weight
+    out = TruncatedSeries(rs.rank, {}, trunc)
+    for mu, mult in weight_multiplicities(rs, labels).items():
+        out = out + TruncatedSeries.linear_form(mu, trunc).exp() * mult
+    return out
+
+
+@pytest.mark.parametrize("label", GROUPS)
+def test_character_series_equals_the_weight_diagram_sum(label):
+    rs = build_root_system(label[0], int(label[1]))
+    trunc = {1: 5, 2: 4, 3: 3, 4: 2}[rs.rank]
+    choices = [(0,) * rs.rank] + list(rs.fundamental_weights)
+    if rs.rank <= 2:
+        choices.append(rs.rho)
+    for labels in choices:
+        assert (character_series(rs, labels, trunc)
+                == _freudenthal_character(rs, labels, trunc)), labels

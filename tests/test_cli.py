@@ -145,28 +145,68 @@ def test_fibration_group_mismatch(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("command,doc", [
+def _residue_problem(**changes):
+    doc = {"vars": 2, "xi": ["1", "3"],
+           "terms": [{"num": [[[0, 0], "1"]], "phase": ["1", "1"],
+                      "dens": [[["1", "0"], 1], [["0", "1"], 1], [["1", "1"], 1]]}]}
+    term = changes.pop("term", {})
+    doc["terms"][0].update(term)
+    doc.update(changes)
+    return doc
+
+
+def _base_oracle(**changes):
+    doc = {"group": "A1", "generators": [["w0", 1], ["a2", 2]], "top_degree": 0,
+           "todd": [[[0, 0], "1"]], "pairing": [[[0, 0], "1"]]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("command,doc,fragment", [
     ("fibration", {"group": "A1",
-                   "fixed_points": [{"label": "p", "moment": 5, "tangent_weights": [["2"]]}]}),
-    ("fibration", [{"group": "A1", "fixed_points": []}]),
+                   "fixed_points": [{"label": "p", "moment": 5, "tangent_weights": [["2"]]}]},
+     None),
+    ("fibration", [{"group": "A1", "fixed_points": []}], None),
     ("jk-residue", {"vars": 2, "xi": ["1", "1"],
-                    "terms": [{"phase": ["1"], "dens": [[["1", "0"], 1], [["0", "1"], 1]]}]}),
+                    "terms": [{"phase": ["1"], "dens": [[["1", "0"], 1], [["0", "1"], 1]]}]},
+     None),
     ("jk-residue", {"vars": 2, "xi": ["1", "1"],
-                    "terms": [{"phase": ["1", "1"], "dens": [[["1", "0"], 1], [["2", "0"], 1]]}]}),
+                    "terms": [{"phase": ["1", "1"], "dens": [[["1", "0"], 1], [["2", "0"], 1]]}]},
+     None),
     ("fibration", {"group": "A1", "fixed_points": [
-        {"label": "p", "moment": ["1"], "tangent_weights": [["2"]]}, "q", 7]}),
-    ("fibration", {"group": "A1", "fixed_points": 5}),
-    ("fibration", {"group": "A1", "fixed_points": "nope"}),
+        {"label": "p", "moment": ["1"], "tangent_weights": [["2"]]}, "q", 7]}, None),
+    ("fibration", {"group": "A1", "fixed_points": 5}, None),
+    ("fibration", {"group": "A1", "fixed_points": "nope"}, None),
     ("fibration", {"group": 5,
-                   "fixed_points": [{"label": "p", "moment": ["1"], "tangent_weights": [["2"]]}]}),
+                   "fixed_points": [{"label": "p", "moment": ["1"], "tangent_weights": [["2"]]}]},
+     None),
+    ("jk-residue", _residue_problem(terms=5), "terms"),
+    ("jk-residue", _residue_problem(terms=_residue_problem()["terms"] + [5]), "term 1"),
+    ("jk-residue", _residue_problem(term={"dens": 5}), "dens"),
+    ("jk-residue", _residue_problem(term={"num": 3}), "num"),
+    ("jk-residue", _residue_problem(coords=5), "coords"),
+    ("jk-residue", _residue_problem(term={"dens": [[["1", "0"], 0], [["0", "1"], 1]]}),
+     "multiplicity"),
+    ("jk-residue", _residue_problem(term={"dens": [[["1", "0"], -1], [["0", "1"], 1]]}),
+     "multiplicity"),
+    ("jk-residue", {"vars": 0, "xi": [], "terms": []}, "vars"),
+    ("base", _base_oracle(generators=5), "generators"),
+    ("base", _base_oracle(pairing=5), "pairing"),
+    ("base", _base_oracle(top_degree=None), "top_degree"),
 ], ids=["scalar-moment", "top-level-list", "short-phase", "non-spanning-denominators",
         "non-object-fixed-point", "number-fixed-points", "string-fixed-points",
-        "number-group"])
-def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc):
+        "number-group", "number-terms", "number-term", "number-dens", "number-num",
+        "number-coords", "zero-multiplicity", "negative-multiplicity", "zero-vars",
+        "number-generators", "number-pairing", "null-top-degree"])
+def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc, fragment):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     if command == "jk-residue":
         argv = [command, "--input", str(path)]
+    elif command == "base":
+        argv = ["fibration", "--weight", "1", "--k", "1",
+                "--fixture", str(FIXTURES / "su2_three_spheres.json"),
+                "--base-fixture", str(path), "--route", "base"]
     else:
         argv = [command, "--weight", "1", "--k", "1", "--fixture", str(path),
                 "--route", "residue"]
@@ -175,3 +215,5 @@ def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc):
     assert code == 1
     assert captured.err.startswith("input error:")
     assert "Traceback" not in captured.err and captured.out == ""
+    if fragment is not None:
+        assert fragment in captured.err

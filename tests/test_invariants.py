@@ -34,6 +34,16 @@ def test_molien_dimensions_match_degree_products():
             assert molien_dimension(rs, d) == series[d], (label, d)
 
 
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "A4", "D4"])
+def test_molien_dimensions_match_degree_products_in_higher_rank(label):
+    rs = build_root_system(label[0], int(label[1]))
+    expected = [1] + [0] * 8
+    for d in fundamental_degrees(rs):
+        for i in range(d, 9):
+            expected[i] += expected[i - d]
+    assert [molien_dimension(rs, d) for d in range(9)] == expected
+
+
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"])
 def test_generators_exist_and_are_invariant(label):
     rs = build_root_system(label[0], int(label[1]))

@@ -40,6 +40,43 @@ def test_exp_requires_zero_constant():
         S(1, {(0,): F(1)}, trunc=3).exp()
 
 
+def _literal_exp_sum(terms, num_vars, trunc):
+    out = S(num_vars, {}, trunc)
+    for v, c in terms:
+        out = out + TruncatedSeries.linear_form(v, trunc).exp() * c
+    return out
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+def test_exp_sum_matches_the_literal_sum_of_exponentials(num_vars):
+    rng = random.Random(num_vars)
+    entries = [0, 1, -1, 2, -3, F(1, 2), F(-2, 3)]
+    weights = [1, -1, 2, -5, F(3, 2), F(-1, 4)]
+    for trunc in range(9):
+        for _ in range(3):
+            terms = [(tuple(rng.choice(entries) for _ in range(num_vars)), rng.choice(weights))
+                     for _ in range(rng.randint(1, 4))]
+            assert (TruncatedSeries.exp_sum(terms, trunc)
+                    == _literal_exp_sum(terms, num_vars, trunc)), (terms, trunc)
+        v = tuple(rng.choice(entries) for _ in range(num_vars))
+        assert TruncatedSeries.exp_sum([(v, 1)], trunc) == TruncatedSeries.exp_linear(v, trunc)
+        assert (TruncatedSeries.exp_linear(v, trunc)
+                == TruncatedSeries.linear_form(v, trunc).exp())
+
+
+def test_exp_sum_of_int_terms_cancels_exactly():
+    # sinh: the even coefficients cancel in integers and leave no zero entries
+    s = TruncatedSeries.exp_sum([((1,), 1), ((-1,), -1)], 5)
+    assert s.to_text() == "2 * x1^1 + 1/3 * x1^3 + 1/60 * x1^5"
+
+
+def test_exp_sum_rejects_bad_terms():
+    with pytest.raises(ValueError):
+        TruncatedSeries.exp_sum([((1, 2), 1), ((1,), 1)], 3)
+    with pytest.raises(ValueError):
+        TruncatedSeries.exp_sum([], 3)
+
+
 def test_inverse_examples():
     one = S(1, {(0,): F(1)}, trunc=3)
     assert one.inverse() == one
