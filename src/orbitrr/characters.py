@@ -7,8 +7,8 @@ both alternating exponential sums (the denominator by the Weyl
 denominator identity), built coefficient by coefficient in integers by
 ``TruncatedSeries.exp_sum``.  The division is performed by factoring the
 product of positive roots out of both (an exact polynomial division,
-which doubles as an arithmetic self-check) and inverting the remaining
-unit series.
+which doubles as an arithmetic self-check) and dividing the reduced
+numerator by the remaining unit series.
 """
 
 from __future__ import annotations
@@ -102,4 +102,4 @@ def character_series(rs: RootSystem, labels, trunc: int) -> TruncatedSeries:
     except ExactDivisionError as exc:
         raise InternalInconsistencyError(
             "alternating numerator/denominator not divisible by the root product") from exc
-    return reduced * unit.inverse()
+    return reduced.divide_exact(unit)

@@ -20,7 +20,7 @@ from .characters import character_series, orbit_volume, weyl_dim
 from .errors import (ExactDivisionError, GenericityError, InternalInconsistencyError)
 from .jsonio import (canonical_json, fraction_to_str, load_base_oracle, load_fixed_points,
                      load_residue_problem, parse_weight_labels)
-from .localization import (GLOBAL_CALIBRATIONS, fibration_rr_base, fibration_rr_residue,
+from .localization import (CalibrationRegistry, fibration_rr_base, fibration_rr_residue,
                            rr_orbit_fixedpoint)
 from .multiplicities import tensor_multiplicity
 from .residues import DEFAULT_RETRIES, DEFAULT_SEED, build_cone, res_cone
@@ -99,10 +99,11 @@ def _cmd_fibration(args) -> int:
         target = tuple(args.k * c for c in lam)
         doc["oracle"] = tensor_multiplicity(rs, factors, target)
     if args.route in ("residue", "both"):
+        registry = CalibrationRegistry()
         value = fibration_rr_residue(points, rs, lam, args.k,
-                                     seed=args.seed, retries=args.retries)
+                                     seed=args.seed, retries=args.retries, registry=registry)
         doc["residue"] = fraction_to_str(value)
-        constant = GLOBAL_CALIBRATIONS.constants[(rs.label, len(points[0].tangent_weights))]
+        constant = registry.constants[(rs.label, len(points[0].tangent_weights))]
         doc["constant"] = fraction_to_str(constant)
     if args.route in ("base", "both"):
         if not args.base_fixture:

@@ -180,8 +180,7 @@ def invariant_generators(rs: RootSystem) -> tuple[TruncatedSeries, ...]:
     return tuple(chosen)
 
 
-def express_invariant(rs: RootSystem, series: TruncatedSeries,
-                      upto: int | None = None) -> dict[tuple[int, ...], Fraction]:
+def express_invariant(rs: RootSystem, series: TruncatedSeries) -> dict[tuple[int, ...], Fraction]:
     """Write a Weyl-invariant series as a polynomial in the invariant
     generators, degree by degree, by exact linear solve on coefficients.
 
@@ -191,7 +190,7 @@ def express_invariant(rs: RootSystem, series: TruncatedSeries,
     """
     gens = invariant_generators(rs)
     degrees = fundamental_degrees(rs)
-    cap = series.trunc if upto is None else upto
+    cap = series.trunc
     if cap is None:
         cap = series.max_degree()
     out: dict[tuple[int, ...], Fraction] = {}

@@ -6,11 +6,14 @@ Three routes live here, sharing only the root-system data:
   orbit, evaluated along a generic one-parameter direction as an exact
   rational function of u = e^t and then at u -> 1.
 * ``fibration_rr_residue``: the iterated-residue route for a fibration
-  with fiber a coadjoint orbit.  The integrand sums the contributions of
+  with fiber a coadjoint orbit.  Its Todd factors are t / (1 - e^{-t}),
+  one exact division each, and the residues pull terms back by linear
+  changes of variables.  The integrand sums the contributions of
   the (fixed point, Weyl element) pairs per (phase, tangent-weight
   multiset), one term per sum.  The overall constant of the residue
   theorem is calibrated once per (group, half-dimension) signature and
-  frozen.
+  frozen in a ``CalibrationRegistry``: the caller's, or one local to the
+  call.  There is no module-level calibration state.
 * ``fibration_rr_base``: the base-integral route, pairing the character
   class (expressed in invariant generators) against an intersection
   oracle for the reduced space at zero.
@@ -100,11 +103,11 @@ def product_orbit_fixed_data(rs: RootSystem, factor_labels) -> tuple[FixedPointD
 # fixed-point route for a single orbit
 
 
-def _generic_direction(covectors, rank: int, start: int = 0) -> tuple[int, ...]:
+def _generic_direction(covectors, rank: int) -> tuple[int, ...]:
     """Deterministic integer direction pairing nonzero with every given
     covector; powers of an increasing base eventually clear the finitely
     many walls."""
-    j = start
+    j = 0
     while True:
         base = j + 2
         xi = tuple(base**i for i in range(rank))
@@ -218,9 +221,9 @@ def todd_restriction_identity(rs: RootSystem, w: WeylElement, trunc: int) -> boo
     for g in rs.positive_roots:
         cov = w.act(g)
         lhs_prod = lhs_prod * (1 - TruncatedSeries.exp_linear(tuple(-c for c in cov), work))
-    lhs = (lhs_prod.divide_exact(root_poly)).inverse() * w.sign
+    lhs = root_poly.divide_exact(lhs_prod) * w.sign
     rhs_unit = weyl_denominator(rs, work).divide_exact(root_poly)
-    rhs = TruncatedSeries.exp_linear(w.act(rs.rho), trunc) * rhs_unit.inverse()
+    rhs = TruncatedSeries.exp_linear(w.act(rs.rho), trunc).divide_exact(rhs_unit)
     return lhs == rhs
 
 
@@ -278,8 +281,7 @@ def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
             for t in tangent:
                 if (t, cap) not in todd:
                     one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
-                    todd[t, cap] = one_minus.divide_exact(
-                        TruncatedSeries.linear_form(t)).inverse()
+                    todd[t, cap] = TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
                 unit = unit * todd[t, cap]
             units[tangent] = unit
         for i, w in enumerate(group):
@@ -391,16 +393,14 @@ class CalibrationRegistry:
         return frozen
 
 
-GLOBAL_CALIBRATIONS = CalibrationRegistry()
-
-
 def fibration_rr_residue(points, rs: RootSystem, lam_labels, k: int, *,
                          seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES,
                          registry: CalibrationRegistry | None = None) -> Fraction:
     """Riemann-Roch number of the fibration by the residue route: the
     calibrated constant times the iterated residue of the fixed-point
-    integrand."""
-    registry = registry if registry is not None else GLOBAL_CALIBRATIONS
+    integrand.  Without a registry the constant is calibrated in a
+    registry local to this call."""
+    registry = registry if registry is not None else CalibrationRegistry()
     points = tuple(points)
     raw, _ = raw_fibration_residue(points, rs, lam_labels, k, seed=seed, retries=retries)
     c = registry.constant_for(rs, len(points[0].tangent_weights), seed=seed, retries=retries)

@@ -15,6 +15,11 @@ residue at infinity vanishes); otherwise it is refused rather than
 guessed.  Terms with equal phase and denominators are merged before the
 rule is applied -- cancellations between fixed-point contributions are
 what keep honest wall configurations finite.
+
+A term is rewritten in new coordinates in one way, ``RatExpTerm.pull_back``:
+the frame change of ``res_cone`` and the evaluation at a pole (x_var :=
+the pole location, the other coordinates fixed) are both linear changes
+of variables.
 """
 
 from __future__ import annotations
@@ -67,30 +72,24 @@ class RatExpTerm:
                                   self.phase, tuple(bumped)))
         return out
 
-    def substitute_var(self, var: int, replacement_cov: Vec) -> "RatExpTerm":
-        """Set x_var := <replacement_cov, X> (a linear form in the other
-        variables); used to evaluate at a pole location."""
-        assert replacement_cov[var] == 0
-        repl = TruncatedSeries.linear_form(replacement_cov)
-        num = self.numerator.substitute_var(var, repl)
-        phase = list(self.phase)
-        p = phase[var]
-        phase[var] = Fraction(0)
-        for j, c in enumerate(replacement_cov):
-            phase[j] += p * c
+    def pull_back(self, matrix: Mat) -> "RatExpTerm":
+        """The term after x_k := sum_i matrix[k][i] y_i: the phase and the
+        denominator forms pull back by the matrix, the numerator by linear
+        substitution.  Used both for the frame change of res_cone and to
+        evaluate at a pole location."""
+        n = self.num_vars
+
+        def pull(cov) -> Vec:
+            return tuple(sum(cov[k] * matrix[k][i] for k in range(n) if cov[k])
+                         for i in range(n))
+
         dens = []
         for form, mult in self.dens:
-            a = form[var]
-            if a == 0:
-                dens.append((form, mult))
-                continue
-            evaluated = tuple(
-                (0 if j == var else form[j] + a * replacement_cov[j])
-                for j in range(self.num_vars))
-            if all(c == 0 for c in evaluated):
+            pulled = pull(form)
+            if all(c == 0 for c in pulled):
                 raise GenericityError("pole locations collide after substitution")
-            dens.append((evaluated, mult))
-        return make_term(self.num_vars, num, tuple(phase), dens)
+            dens.append((pulled, mult))
+        return make_term(n, self.numerator.substitute_linear(matrix), pull(self.phase), dens)
 
 
 def make_term(num_vars: int, numerator: TruncatedSeries, phase, dens) -> RatExpTerm:
@@ -137,11 +136,11 @@ def _residue_at_pole(term: RatExpTerm, var: int, pole_index: int) -> list[RatExp
         for t in work:
             nxt.extend(t.derivative(var))
         work = merge_terms(nxt)
-    pole_cov = tuple(Fraction(0) if j == var else -form[j] / a
-                     for j in range(term.num_vars))
-    out = [t.scaled(Fraction(1, factorial(mult - 1))).substitute_var(var, pole_cov)
-           for t in work]
-    return out
+    n = term.num_vars
+    # x_var := the pole location, the other coordinates fixed
+    at_pole = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    at_pole[var] = tuple(Fraction(0) if i == var else -form[i] / a for i in range(n))
+    return [t.scaled(Fraction(1, factorial(mult - 1))).pull_back(at_pole) for t in work]
 
 
 def res_plus_1d(terms: list[RatExpTerm], var: int) -> list[RatExpTerm]:
@@ -248,23 +247,6 @@ def _perturbed_coords(base: Mat, attempt: int, seed: int) -> Mat:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def _transform_terms(terms: list[RatExpTerm], coords: Mat) -> list[RatExpTerm]:
-    """Rewrite terms in the coordinates X = V Y (V = coords, columns are
-    the basis vectors): covectors pull back by V, numerators by linear
-    substitution."""
-    n = len(coords)
-    out = []
-    for t in terms:
-        phase = tuple(sum(t.phase[i] * coords[i][j] for i in range(n)) for j in range(n))
-        dens = []
-        for form, mult in t.dens:
-            new_form = tuple(sum(form[i] * coords[i][j] for i in range(n)) for j in range(n))
-            dens.append((new_form, mult))
-        num = t.numerator.substitute_linear(coords)
-        out.append(make_term(n, num, phase, dens))
-    return out
-
-
 def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
              seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) -> tuple[Fraction, int]:
     """Iterated residue of a sum of terms over the cone.
@@ -295,7 +277,7 @@ def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
         if mat_det(frame) == 0:  # pragma: no cover - shears keep det nonzero
             continue
         try:
-            work = _transform_terms(terms, frame)
+            work = [t.pull_back(frame) for t in terms]
             for var in range(n - 1, -1, -1):
                 work = res_plus_1d(work, var)
             total = Fraction(0)

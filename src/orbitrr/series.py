@@ -9,9 +9,14 @@ a dict keyed by exponent tuples; zero coefficients are never stored.
 Sums of exponentials of linear forms, such as the alternating numerator
 and denominator of the Weyl character formula, are built in closed form
 by ``TruncatedSeries.exp_sum``, one coefficient at a time and in integers
-when the forms and weights are integral; the exact division by the
-product of positive roots that follows is unchanged and stays a
-self-check.
+when the forms and weights are integral.
+
+There is one division, ``divide_exact``: the divisor may be a polynomial
+or a truncated series, its lowest homogeneous part (degree dmin) leads,
+and the quotient is truncated at min(num.trunc, den.trunc) - dmin, a
+polynomial only when both inputs are.  ``inverse`` is 1 divided by the
+series.  There is one change of variables, ``substitute_linear``, by
+Horner's rule over the variables that move.
 
 The flag-variety fiber integral also lives here: it is a pure identity
 on antisymmetrized polynomials and is the self-check that exact division
@@ -225,27 +230,20 @@ class TruncatedSeries:
         return result
 
     def inverse(self) -> "TruncatedSeries":
-        c = self.constant_term()
-        if c == 0:
+        if self.constant_term() == 0:
             raise ValueError("cannot invert a series with zero constant term")
         if self.trunc is None:
             raise ValueError("inverse needs a truncation degree")
-        # 1/s = (1/c) * sum t^k  with  t = 1 - s/c
-        t = TruncatedSeries.constant(1, self.num_vars, self.trunc) - self * Fraction(1, c)
-        result = TruncatedSeries.constant(1, self.num_vars, self.trunc)
-        power = TruncatedSeries.constant(1, self.num_vars, self.trunc)
-        for _ in range(self.trunc):
-            power = power * t
-            if power.is_zero():
-                break
-            result = result + power
-        return result * Fraction(1, c)
+        return TruncatedSeries.constant(1, self.num_vars, self.trunc).divide_exact(self)
 
     def divide_exact(self, den: "TruncatedSeries") -> "TruncatedSeries":
-        """Exact division by a polynomial divisor.
+        """Exact division, by a polynomial or by a truncated series.
 
-        The quotient satisfies q * den = num through every representable
-        degree.  A nonzero remainder (at any degree that the inputs
+        The lowest homogeneous part of the divisor (degree dmin) leads a
+        long division, one degree at a time.  The quotient is known, and
+        truncated, through degree min(self.trunc, den.trunc) - dmin; it is
+        a polynomial only when both inputs are.  Products beyond that cap
+        are skipped.  A nonzero remainder (at any degree that the inputs
         determine) raises ExactDivisionError.
         """
         if den.is_zero():
@@ -254,7 +252,9 @@ class TruncatedSeries:
             raise ValueError("variable count mismatch")
         dmin = den.min_degree()
         lead = {m: c for m, c in den.coeffs.items() if sum(m) == dmin}
-        n_cap = self.trunc if self.trunc is not None else self.max_degree()
+        den_terms = [(m, c, sum(m)) for m, c in den.coeffs.items()]
+        trunc = _min_trunc(self.trunc, den.trunc)
+        n_cap = trunc if trunc is not None else self.max_degree()
         rem = dict(self.coeffs)
         quot: dict[Monomial, Fraction] = {}
         for deg in range(0, n_cap + 1):
@@ -263,21 +263,23 @@ class TruncatedSeries:
                 continue
             if deg < dmin:
                 raise ExactDivisionError("numerator has terms below divisor degree")
-            qpart = _divide_homogeneous(part, lead, self.num_vars)
+            qpart = _divide_homogeneous(part, lead)
+            quot.update(qpart)
             for mq, cq in qpart.items():
-                quot[mq] = quot.get(mq, Fraction(0)) + cq
-                for md, cd in den.coeffs.items():
+                for md, cd, dd in den_terms:
+                    if trunc is not None and deg - dmin + dd > trunc:
+                        continue
                     m = tuple(a + b for a, b in zip(mq, md))
                     val = rem.get(m, Fraction(0)) - cq * cd
                     if val:
                         rem[m] = val
                     else:
                         rem.pop(m, None)
-        if self.trunc is None and any(c for c in rem.values()):
+        if trunc is None and any(c for c in rem.values()):
             raise ExactDivisionError("nonzero remainder in exact division")
         if any(c for m, c in rem.items() if sum(m) <= n_cap):
             raise ExactDivisionError("nonzero remainder in exact division")
-        qtrunc = None if self.trunc is None else self.trunc - dmin
+        qtrunc = None if trunc is None else trunc - dmin
         return TruncatedSeries(self.num_vars, quot, qtrunc)
 
     # ------------------------------------------------------------------
@@ -297,54 +299,43 @@ class TruncatedSeries:
     def degree_in(self, var: int) -> int:
         return max((m[var] for m in self.coeffs), default=0)
 
-    def coefficients_in(self, var: int) -> dict[int, "TruncatedSeries"]:
-        """Split into powers of one variable; values keep all variables,
-        with the split variable's exponent set to zero."""
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in self.coeffs.items():
-            k = m[var]
-            m2 = list(m)
-            m2[var] = 0
-            buckets.setdefault(k, {})[tuple(m2)] = c
-        return {k: TruncatedSeries(self.num_vars, d, None) for k, d in buckets.items()}
-
-    def substitute_var(self, var: int, replacement: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute x_var := replacement (replacement must not involve x_var)."""
-        if replacement.degree_in(var) > 0:
-            raise ValueError("replacement may not involve the substituted variable")
-        result = TruncatedSeries(self.num_vars, {}, self.trunc)
-        powers: dict[int, TruncatedSeries] = {0: TruncatedSeries.constant(1, self.num_vars, self.trunc)}
-        for k, part in sorted(self.coefficients_in(var).items()):
-            if k not in powers:
-                prev = max(powers)
-                p = powers[prev]
-                for _ in range(prev, k):
-                    p = p * replacement
-                powers[k] = p
-            result = result + part.truncate(self.trunc) * powers[k]
-        return result
-
     def substitute_linear(self, matrix: Mat) -> "TruncatedSeries":
-        """Replace x_k by the linear form sum_i matrix[k][i] * x_i."""
+        """Replace every x_k at once by the linear form sum_i matrix[k][i] x_i.
+
+        Horner's rule over the moved variables (those whose row is not
+        their own unit vector), one after another: in the first moved x_k,
+        p = sum_e c_e x_k^e becomes (..(c'_E L_k + c'_{E-1}) L_k ..) + c'_0,
+        where c'_e is c_e with the remaining moved variables replaced the
+        same way.  So every product is by a linear form and the unmoved
+        variables ride along in the coefficients.  The forms are
+        homogeneous of degree 1, so no product leaves the truncation.
+        """
         n = self.num_vars
-        forms = [TruncatedSeries.linear_form(matrix[k], self.trunc) for k in range(n)]
-        result = TruncatedSeries(n, {}, self.trunc)
-        cache: dict[tuple[int, int], TruncatedSeries] = {}
+        moved = [(k, [(i, a) for i, a in enumerate(matrix[k]) if a])
+                 for k in range(n)
+                 if any(a != int(i == k) for i, a in enumerate(matrix[k]))]
 
-        def form_power(k: int, e: int) -> TruncatedSeries:
-            if e == 0:
-                return TruncatedSeries.constant(1, n, self.trunc)
-            if (k, e) not in cache:
-                cache[(k, e)] = form_power(k, e - 1) * forms[k]
-            return cache[(k, e)]
+        def horner(coeffs: dict[Monomial, Fraction], todo) -> dict[Monomial, Fraction]:
+            if not todo:
+                return coeffs
+            (k, form), rest = todo[0], todo[1:]
+            by_power: dict[int, dict[Monomial, Fraction]] = {}
+            for m, c in coeffs.items():
+                by_power.setdefault(m[k], {})[m[:k] + (0,) + m[k + 1:]] = c
+            acc: dict[Monomial, Fraction] = {}
+            for e in range(max(by_power, default=0), -1, -1):
+                nxt: dict[Monomial, Fraction] = {}
+                for m, c in acc.items():
+                    for i, a in form:
+                        mm = m[:i] + (m[i] + 1,) + m[i + 1:]
+                        nxt[mm] = nxt.get(mm, 0) + c * a
+                if e in by_power:
+                    for m, c in horner(by_power[e], rest).items():
+                        nxt[m] = nxt.get(m, 0) + c
+                acc = nxt
+            return acc
 
-        for m, c in self.coeffs.items():
-            term = TruncatedSeries.constant(c, n, self.trunc)
-            for k, e in enumerate(m):
-                if e:
-                    term = term * form_power(k, e)
-            result = result + term
-        return result
+        return TruncatedSeries(n, horner(self.coeffs, moved), self.trunc)
 
     # ------------------------------------------------------------------
     # canonical text form
@@ -384,8 +375,8 @@ class TruncatedSeries:
         return "<series %s%s>" % (self.to_text(), cap)
 
 
-def _divide_homogeneous(part: dict[Monomial, Fraction], lead: dict[Monomial, Fraction],
-                        num_vars: int) -> dict[Monomial, Fraction]:
+def _divide_homogeneous(part: dict[Monomial, Fraction],
+                        lead: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
     """Exact division of a homogeneous polynomial by a homogeneous divisor
     (single-divisor long division under lex order; any surviving remainder
     means the division is not exact)."""

@@ -299,3 +299,10 @@ def test_grouped_assembly_matches_the_literal_one(group, factors, symplectic, la
     phases = [t.phase for t in reference if any(t.phase)]
     cone = build_cone(weights, _generic_direction(weights + phases, rs.rank))
     assert res_cone(reference, cone) == raw_fibration_residue(points, rs, lam, k)
+
+
+def test_residue_route_without_a_registry_calibrates_in_each_call(a1):
+    points = product_orbit_fixed_data(a1, [(1,)] * 3)
+    for k in (3, 2):
+        expected = tensor_multiplicity(a1, [(k,)] * 3, (k,))
+        assert fibration_rr_residue(points, a1, (1,), k) == expected == k + 1

@@ -220,3 +220,55 @@ def test_merge_terms_combines_signatures():
     merged = merge_terms([t1, t2])
     assert len(merged) == 1
     assert merged[0].numerator.constant_term() == F(3, 2)
+
+
+def _at_pole(n, var, c):
+    rows = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    rows[var] = c
+    return tuple(rows)
+
+
+def test_pull_back_at_a_pole_matches_the_substitution_rule():
+    # x_var := <c, X> with c_var = 0: phase_j + p c_j (p = phase_var),
+    # forms f_j + a c_j (a = f_var), and the numerator under the same
+    # substitution, monomial by monomial
+    rng = random.Random(23)
+    entries = [0, 0, 1, -1, 2, F(1, 2), F(-3, 2)]
+    checked = collided = 0
+    for n in (1, 2, 3):
+        for _ in range(12):
+            var = rng.randrange(n)
+            c = tuple(F(0) if i == var else F(rng.choice(entries)) for i in range(n))
+            dens = []
+            for _ in range(rng.randint(1, 3)):
+                form = [rng.choice(entries) for _ in range(n)]
+                form[rng.randrange(n)] = rng.choice([1, -2])
+                dens.append((tuple(form), rng.randint(1, 2)))
+            coeffs = {tuple(rng.randint(0, 2) for _ in range(n)): F(rng.randint(-3, 3), 2)
+                      for _ in range(3)}
+            term = make_term(n, TruncatedSeries(n, coeffs),
+                             tuple(rng.choice(entries) for _ in range(n)), dens)
+            phase = tuple(F(0) if j == var else term.phase[j] + term.phase[var] * c[j]
+                          for j in range(n))
+            forms = [(tuple(F(0) if j == var else f[j] + f[var] * c[j] for j in range(n)), m)
+                     for f, m in term.dens]
+            if any(all(x == 0 for x in f) for f, _ in forms):
+                with pytest.raises(GenericityError):
+                    term.pull_back(_at_pole(n, var, c))
+                collided += 1
+                continue
+            num = TruncatedSeries(n, {})
+            for mono, coeff in term.numerator.coeffs.items():
+                rest = mono[:var] + (0,) + mono[var + 1:]
+                num = num + (TruncatedSeries(n, {rest: coeff})
+                             * TruncatedSeries.linear_form(c) ** mono[var])
+            assert term.pull_back(_at_pole(n, var, c)) == make_term(n, num, phase, forms)
+            checked += 1
+    assert checked > 10 and collided > 0
+
+
+def test_pull_back_refuses_a_denominator_that_collapses():
+    # at x = -y the form x + y vanishes identically
+    t = simple_term((F(1), F(1)), [((F(1), F(0)), 1), ((F(1), F(1)), 1)])
+    with pytest.raises(GenericityError):
+        t.pull_back(_at_pole(2, 0, (F(0), F(-1))))

@@ -122,6 +122,87 @@ def test_divide_exact_failure_across_variables():
         x.divide_exact(y)
 
 
+def test_divide_exact_by_a_truncated_divisor_keeps_only_what_it_knows():
+    # 1 - x is known only through degree 2, so the quotient is too
+    one_minus_x = S(1, {(0,): F(1), (1,): F(-1)}, trunc=2)
+    q = TruncatedSeries.constant(1, 1, 5).divide_exact(one_minus_x)
+    assert (q.to_text(), q.trunc) == ("1 + 1 * x1^1 + 1 * x1^2", 2)
+    q = S(1, {(0,): F(1), (2,): F(-1)}).divide_exact(one_minus_x)
+    assert (q.to_text(), q.trunc) == ("1 + 1 * x1^1", 2)
+    q = TruncatedSeries.constant(1, 1).divide_exact(one_minus_x)
+    assert (q.to_text(), q.trunc) == ("1 + 1 * x1^1 + 1 * x1^2", 2)
+
+
+def _random_series(rng, num_vars, low, high, trunc=None):
+    coeffs = {}
+    for _ in range(5):
+        mono = tuple(rng.randint(0, high) for _ in range(num_vars))
+        if low <= sum(mono) <= high:
+            coeffs[mono] = F(rng.randint(-4, 4), rng.randint(1, 3))
+    return S(num_vars, coeffs, trunc)
+
+
+@pytest.mark.parametrize("dmin", [0, 1, 2])
+def test_divide_exact_by_truncated_divisors(dmin):
+    # den = (product of dmin linear forms) * (unit with constant 1, then
+    # truncated); num = q_true * den.  The quotient is q_true through
+    # min(num.trunc, den.trunc) - dmin, and q * den = num through q.trunc + dmin.
+    rng = random.Random(40 + dmin)
+    for num_vars in (1, 2, 3):
+        for _ in range(6):
+            lead = TruncatedSeries.constant(1, num_vars)
+            for _ in range(dmin):
+                form = [rng.randint(-2, 2) for _ in range(num_vars)]
+                form[rng.randrange(num_vars)] = rng.choice([1, -3])
+                lead = lead * TruncatedSeries.linear_form(form)
+            unit = _random_series(rng, num_vars, 1, 4) + 1
+            den_trunc = rng.randint(dmin, 6)
+            num_trunc = rng.choice([None, dmin + 1, 6, 8])
+            den = (lead * unit).truncate(den_trunc)
+            q_true = _random_series(rng, num_vars, 0, 4) + rng.randint(1, 3)
+            num = (q_true * lead * unit).truncate(num_trunc)
+            q = num.divide_exact(den)
+            cap = min(t for t in (num_trunc, den_trunc) if t is not None)
+            assert q.trunc == cap - dmin
+            assert q == q_true.truncate(q.trunc)
+            assert ((q.as_polynomial() * den.as_polynomial()).truncate(cap)
+                    == num.truncate(cap))
+
+
+def test_divide_exact_by_a_truncated_divisor_checks_the_remainder():
+    x = S(2, {(1, 0): F(1)}, trunc=4)
+    den = S(2, {(0, 1): F(1), (0, 2): F(3)}, trunc=3)
+    with pytest.raises(ExactDivisionError):
+        x.divide_exact(den)
+
+
+def _geometric_inverse(s):
+    # 1/s = (1/c) * sum_k t^k with t = 1 - s/c
+    c = s.constant_term()
+    t = TruncatedSeries.constant(1, s.num_vars, s.trunc) - s * F(1, c)
+    result = TruncatedSeries.constant(1, s.num_vars, s.trunc)
+    power = TruncatedSeries.constant(1, s.num_vars, s.trunc)
+    for _ in range(s.trunc):
+        power = power * t
+        if power.is_zero():
+            break
+        result = result + power
+    return result * F(1, c)
+
+
+def test_inverse_matches_the_geometric_series():
+    rng = random.Random(17)
+    for num_vars in (1, 2, 3):
+        for trunc in range(0, 7):
+            s = _random_series(rng, num_vars, 1, 4, trunc) + F(rng.choice([1, -2, 3]),
+                                                                 rng.randint(1, 4))
+            inv = s.inverse()
+            assert inv == _geometric_inverse(s)
+            assert (s * inv).to_text() == "1"
+    with pytest.raises(ValueError):
+        S(2, {(0, 0): F(1)}).inverse()
+
+
 def test_ring_axioms_on_random_triples():
     rng = random.Random(5)
 
@@ -205,3 +286,33 @@ def test_substitute_linear_on_weyl_matrix_is_involution():
     m = rs.coroot_matrix(s1)
     p = S(2, {(1, 0): F(1), (0, 2): F(3), (1, 1): F(-2)}, trunc=4)
     assert p.substitute_linear(m).substitute_linear(m) == p
+
+
+def _monomial_substitution(p, matrix):
+    # sum over monomials of c * prod_k (sum_i matrix[k][i] x_i)^{e_k}
+    out = S(p.num_vars, {}, p.trunc)
+    for mono, c in p.coeffs.items():
+        term = TruncatedSeries.constant(c, p.num_vars, p.trunc)
+        for k, e in enumerate(mono):
+            term = term * TruncatedSeries.linear_form(matrix[k], p.trunc) ** e
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3, 4])
+@pytest.mark.parametrize("trunc", [None, 4])
+def test_substitute_linear_matches_the_monomial_expansion(num_vars, trunc):
+    rng = random.Random(num_vars * 10 + (trunc or 0))
+    entries = [0, 0, 1, -1, 2, F(1, 2), F(-2, 3)]
+    identity = tuple(tuple(int(i == j) for i in range(num_vars)) for j in range(num_vars))
+    for _ in range(4):
+        p = _random_series(rng, num_vars, 0, 5, trunc)
+        full = tuple(tuple(rng.choice(entries) for _ in range(num_vars))
+                     for _ in range(num_vars))
+        var = rng.randrange(num_vars)
+        pole = list(identity)
+        pole[var] = tuple(0 if i == var else rng.choice(entries) for i in range(num_vars))
+        for matrix in (full, tuple(pole), identity):
+            moved = p.substitute_linear(matrix)
+            assert moved == _monomial_substitution(p, matrix), (p, matrix)
+        assert p.substitute_linear(identity) == p
