@@ -3,8 +3,9 @@
 Three routes live here, sharing only the root-system data:
 
 * ``rr_orbit_fixedpoint``: the fixed-point sum for a single coadjoint
-  orbit, evaluated along a generic one-parameter direction as an exact
-  rational function of u = e^t and then at u -> 1.
+  orbit along a generic one-parameter direction, whose limit u = e^t -> 1
+  is one integer binomial sum over the Weyl group; the lower-order sums
+  must vanish, or the sum has a pole at u = 1.
 * ``fibration_rr_residue``: the iterated-residue route for a fibration
   with fiber a coadjoint orbit.  Its Todd factors are t / (1 - e^{-t}),
   one exact division each, and the residues pull terms back by linear
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
+from math import comb, factorial, prod
 
 from .characters import character_series, check_weight
 from .errors import (CalibrationDriftError, DegenerateOrbitError, InadmissibleInputError,
@@ -116,70 +118,44 @@ def _generic_direction(covectors, rank: int) -> tuple[int, ...]:
         j += 1
 
 
-def _poly_shrink_at_one(coeffs: list[Fraction], times: int) -> list[Fraction]:
-    """Divide a polynomial (ascending coefficients) by (u-1) `times` times,
-    requiring a zero remainder each round."""
-    for _ in range(times):
-        rem = sum(coeffs)
-        if rem != 0:
-            raise InternalInconsistencyError("fixed-point sum has a pole at u = 1")
-        out = [Fraction(0)] * (len(coeffs) - 1)
-        acc = Fraction(0)
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc += coeffs[i]
-            out[i - 1] = acc
-        coeffs = out if out else [Fraction(0)]
-    return coeffs
-
-
 def rr_orbit_fixedpoint(rs: RootSystem, labels, k: int) -> int:
     """Riemann-Roch number of the k-th power of the prequantum bundle on
     the orbit through a dominant integral weight, by the fixed-point sum
 
         sum over w of e^{k<w lam, X>} prod (1 - e^{-<w gamma, X>})^{-1}
 
-    evaluated at X = t xi for a generic integer direction xi, as an exact
-    rational function of u = e^t, then at u -> 1.
+    at X = t xi for a generic integer direction xi.  With u = e^t and
+    eta_w = w^T xi, the point w contributes sign_w u^{e_w} / prod (u^n - 1)
+    over n = |<gamma, xi>|, where e_w = k<lam, eta_w> plus the positive
+    <gamma, eta_w>, and sign_w = (-1)^(number of negative ones).  With
+    s = min e_w and m positive roots, the limit u -> 1 is
+
+        sum_w sign_w C(e_w - s, m) / prod n,
+
+    and the same sums with j < m in place of m must vanish (no pole at 1).
     """
-    labels = check_weight(rs, labels, dominant=True, integral=True)
+    labels = tuple(int(c) for c in check_weight(rs, labels, dominant=True, integral=True))
     if k < 0:
         raise ValueError("k must be nonnegative")
-    group = enumerate_weyl_group(rs)
-    all_covs = [w.act(g) for w in group for g in rs.positive_roots]
-    xi = _generic_direction(all_covs, rs.rank)
+    xi = _generic_direction(rs.positive_roots, rs.rank)
 
-    base_mults = sorted(abs(sum(c * x for c, x in zip(cov, xi))) for cov in rs.positive_roots)
+    base_mults = sorted(abs(sum(c * x for c, x in zip(g, xi))) for g in rs.positive_roots)
     exps = []
-    for w in group:
-        e = k * sum(c * x for c, x in zip(w.act(labels), xi))
-        sign = 1
-        mults = []
-        for g in rs.positive_roots:
-            c = sum(a * x for a, x in zip(w.act(g), xi))
-            mults.append(abs(c))
-            if c > 0:
-                e += c
-            else:
-                sign = -sign
-        if sorted(mults) != base_mults:
+    for w in enumerate_weyl_group(rs):
+        # <w v, xi> = <v, eta> with eta = w^T xi
+        eta = tuple(sum(row[j] * x for row, x in zip(w.matrix, xi)) for j in range(rs.rank))
+        pairings = [sum(a * b for a, b in zip(g, eta)) for g in rs.positive_roots]
+        if sorted(abs(c) for c in pairings) != base_mults:
             raise InternalInconsistencyError("denominator multiset varies across fixed points")
-        e = Fraction(e)
-        if e.denominator != 1:
-            raise InternalInconsistencyError("non-integral exponent %s in fixed-point sum" % e)
-        exps.append((int(e), sign))
+        e = k * sum(a * b for a, b in zip(labels, eta)) + sum(c for c in pairings if c > 0)
+        exps.append((e, (-1) ** sum(c < 0 for c in pairings)))
 
     shift = min(e for e, _ in exps)
-    degree = max(e for e, _ in exps) - shift
-    coeffs = [Fraction(0)] * (degree + 1)
-    for e, sign in exps:
-        coeffs[e - shift] += sign
     m = len(rs.positive_roots)
-    reduced = _poly_shrink_at_one(coeffs, m)
-    num = sum(reduced)
-    den = Fraction(1)
-    for n in base_mults:
-        den *= n
-    value = num / den
+    for j in range(m):
+        if sum(sign * comb(e - shift, j) for e, sign in exps):
+            raise InternalInconsistencyError("fixed-point sum has a pole at u = 1")
+    value = Fraction(sum(sign * comb(e - shift, m) for e, sign in exps), prod(base_mults))
     if value.denominator != 1 or value < 0:
         raise InternalInconsistencyError("fixed-point limit %s is not a nonneg integer" % value)
     return int(value)
@@ -333,10 +309,8 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int, *,
     _check_regularity(points, rs, lam_labels)
 
     terms = _fibration_terms(points, rs, lam_labels, k)
-    group = enumerate_weyl_group(rs)
     weights = list(dict.fromkeys(
-        [t for pt in points for t in pt.tangent_weights]
-        + [w.act(g) for w in group for g in rs.positive_roots]))
+        [t for pt in points for t in pt.tangent_weights] + list(rs.positive_roots)))
     phases = [t.phase for t in terms if any(c != 0 for c in t.phase)]
     xi = _generic_direction(weights + phases, rs.rank)
     cone = build_cone(weights, vec(xi))
@@ -429,6 +403,9 @@ class BaseIntersectionOracle:
             raise ValueError("generator names and degrees differ in length")
         if not self.generator_degrees or self.generator_degrees[0] != 1:
             raise ValueError("first generator must be the symplectic class, degree 1")
+        for table in (self.pairing, self.todd):
+            if any(len(mono) != len(self.generator_degrees) for mono in table):
+                raise ValueError("oracle monomials must have one exponent per generator")
         for mono, value in self.pairing.items():
             if self._wdeg(mono) != self.top_degree and Fraction(value) != 0:
                 raise ValueError("pairing is supported off the top degree")
@@ -443,17 +420,6 @@ class BaseIntersectionOracle:
         zero = (0,) * (1 + len(degs))
         return cls(generator_names=names, generator_degrees=(1,) + degs,
                    top_degree=0, pairing={zero: Fraction(1)}, todd={zero: Fraction(1)})
-
-
-def _weighted_mul(a: dict, b: dict, degrees, cap: int) -> dict:
-    out: dict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            mono = tuple(x + y for x, y in zip(ma, mb))
-            if sum(e * d for e, d in zip(mono, degrees)) > cap:
-                continue
-            out[mono] = out.get(mono, Fraction(0)) + ca * cb
-    return {m: c for m, c in out.items() if c}
 
 
 def fibration_rr_base(oracle: BaseIntersectionOracle, rs: RootSystem, lam_labels,
@@ -471,23 +437,13 @@ def fibration_rr_base(oracle: BaseIntersectionOracle, rs: RootSystem, lam_labels
     cap = oracle.top_degree
     n_series = cap if trunc is None else trunc
     s_series = character_series(rs, scaled, n_series)
-    s_in_gens = express_invariant(rs, s_series)
     nsym = 1 + len(degs)
-    s_poly = {(0,) + mono: c for mono, c in s_in_gens.items()}
-
-    wdegrees = oracle.generator_degrees
-    exp_w0 = {}
-    power = Fraction(1)
-    for j in range(cap + 1):
-        mono = (j,) + (0,) * (len(degs))
-        exp_w0[mono] = power
-        power = power * k / (j + 1)
-    total = _weighted_mul(exp_w0, {tuple(m): Fraction(c) for m, c in oracle.todd.items()},
-                          wdegrees, cap)
-    total = _weighted_mul(total, s_poly, wdegrees, cap)
-    value = Fraction(0)
-    for mono, c in total.items():
-        if len(mono) != nsym:
-            raise ValueError("oracle monomial arity mismatch")
-        value += c * Fraction(oracle.pairing.get(mono, 0))
-    return value
+    # terms above the top degree pair to zero, so the polynomials need no cap
+    exp_w0 = TruncatedSeries(nsym, {(j,) + (0,) * len(degs): Fraction(k**j, factorial(j))
+                                    for j in range(cap + 1)})
+    todd = TruncatedSeries(nsym, oracle.todd)
+    s_poly = TruncatedSeries(nsym, {(0,) + mono: c
+                                    for mono, c in express_invariant(rs, s_series).items()})
+    total = exp_w0 * todd * s_poly
+    return sum((c * Fraction(oracle.pairing.get(mono, 0)) for mono, c in total.coeffs.items()),
+               Fraction(0))

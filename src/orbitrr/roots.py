@@ -17,7 +17,7 @@ membership test and the Freudenthal search box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -106,6 +106,8 @@ class RootSystem:
     family: str
     rank: int
     cartan: Mat
+    # derived from cartan, so left out of hashing and comparison
+    cartan_inv: Mat = field(compare=False)
     form: Mat
     form_scale: int
     simple_roots: tuple[Vec, ...]
@@ -130,7 +132,7 @@ class RootSystem:
         labels = vec(labels)
         if len(labels) != self.rank:
             raise ValueError("expected %d Dynkin labels" % self.rank)
-        return _combine(labels, mat_inv(self.cartan))
+        return _combine(labels, self.cartan_inv)
 
     def is_regular(self, v: Vec) -> bool:
         return all(self.pairing(g, v) != 0 for g in self.positive_roots)
@@ -194,6 +196,7 @@ def _build_cached(family: str, rank: int) -> RootSystem:
         family=family,
         rank=rank,
         cartan=cartan,
+        cartan_inv=inv,
         form=tuple(tuple(int(x * scale) for x in row) for row in form),
         form_scale=scale,
         simple_roots=cartan,

@@ -67,6 +67,8 @@ def test_symplectic_exponent_key_is_accepted_as_alias(tmp_path):
                                 "--fixture", str(FIXTURES / "su2_three_spheres.json"),
                                 "--base-fixture", str(FIXTURES / "su2_point_base.json"),
                                 "--route", "both"]),
+    ("rr_orbit_d4_1111_k2.json", ["rr-orbit", "--group", "D4", "--weight", "1,1,1,1",
+                                  "--k", "2"]),
 ])
 def test_golden_outputs(capsys, golden, argv):
     code, out = run(capsys, *argv)
@@ -193,11 +195,14 @@ def _base_oracle(**changes):
     ("base", _base_oracle(generators=5), "generators"),
     ("base", _base_oracle(pairing=5), "pairing"),
     ("base", _base_oracle(top_degree=None), "top_degree"),
+    ("base", _base_oracle(pairing=[[[0, 0, 0], "1"]]), "one exponent per generator"),
+    ("base", _base_oracle(todd=[[[0], "1"]]), "one exponent per generator"),
 ], ids=["scalar-moment", "top-level-list", "short-phase", "non-spanning-denominators",
         "non-object-fixed-point", "number-fixed-points", "string-fixed-points",
         "number-group", "number-terms", "number-term", "number-dens", "number-num",
         "number-coords", "zero-multiplicity", "negative-multiplicity", "zero-vars",
-        "number-generators", "number-pairing", "null-top-degree"])
+        "number-generators", "number-pairing", "null-top-degree", "long-pairing-monomial",
+        "short-todd-monomial"])
 def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc, fragment):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

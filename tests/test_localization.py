@@ -5,7 +5,8 @@ import pytest
 
 from orbitrr.characters import orbit_volume, weyl_dim
 from orbitrr.errors import (CalibrationDriftError, DegenerateOrbitError,
-                            InadmissibleInputError, SingularValueError)
+                            InadmissibleInputError, InternalInconsistencyError,
+                            SingularValueError)
 from orbitrr.localization import (BaseIntersectionOracle, CalibrationRegistry,
                                   FixedPointDatum, _fibration_terms, _generic_direction,
                                   coadjoint_orbit_points, fibration_rr_base,
@@ -74,13 +75,29 @@ def test_rr_orbit_examples(a1, a2):
         assert rr_orbit_fixedpoint(rs, (2,) * rs.rank, 0) == 1
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "B2"])
+# group -> (largest Dynkin label, largest k) of the sweep
+BWB_RANGES = {"A1": (2, 3), "A2": (2, 3), "B2": (2, 3),
+              "G2": (2, 2), "A3": (2, 2), "B3": (2, 2), "C3": (2, 2),
+              "A4": (1, 2), "B4": (1, 2), "C4": (1, 2), "D4": (1, 2)}
+
+
+@pytest.mark.parametrize("label", list(BWB_RANGES))
 def test_rr_orbit_is_borel_weil_bott(label):
     rs = build_root_system(label[0], int(label[1]))
-    for labels in product(range(3), repeat=rs.rank):
-        for k in range(4):
+    top, kmax = BWB_RANGES[label]
+    for labels in product(range(top + 1), repeat=rs.rank):
+        for k in range(kmax + 1):
             kl = tuple(k * c for c in labels)
             assert rr_orbit_fixedpoint(rs, labels, k) == weyl_dim(rs, kl)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
+def test_rr_orbit_missing_fixed_point_is_a_pole(monkeypatch, label):
+    rs = build_root_system(label[0], int(label[1]))
+    group = enumerate_weyl_group(rs)
+    monkeypatch.setattr("orbitrr.localization.enumerate_weyl_group", lambda _: group[:-1])
+    with pytest.raises(InternalInconsistencyError, match="pole at u = 1"):
+        rr_orbit_fixedpoint(rs, rs.rho, 1)
 
 
 def test_todd_restriction_identity_examples(a1, a2):
