@@ -5,10 +5,11 @@ The character class is the alternating exponential sum over the Weyl
 group divided by the Weyl denominator.  Numerator and denominator are
 both alternating exponential sums (the denominator by the Weyl
 denominator identity), built coefficient by coefficient in integers by
-``TruncatedSeries.exp_sum``.  The division is performed by factoring the
-product of positive roots out of both (an exact polynomial division,
-which doubles as an arithmetic self-check) and dividing the reduced
-numerator by the remaining unit series.
+``TruncatedSeries.exp_sum``.  The quotient is one exact division of the
+numerator by the denominator.  It is checked: the denominator must have
+no term below degree m (the number of positive roots) and its degree-m
+part must be the product of the positive roots, and the division must
+leave no remainder; otherwise the call raises InternalInconsistencyError.
 """
 
 from __future__ import annotations
@@ -95,11 +96,13 @@ def character_series(rs: RootSystem, labels, trunc: int) -> TruncatedSeries:
     shifted = tuple(int(c) for c in vec_add(labels, rs.rho))  # integral, checked above
     numerator = TruncatedSeries.exp_sum(
         [(w.act(shifted), w.sign) for w in enumerate_weyl_group(rs)], work)
-    root_poly = positive_root_product(rs)
+    denominator = weyl_denominator(rs, work)
+    message = "alternating numerator/denominator not divisible by the root product"
+    # a denominator led by the root product in degree m leaves the quotient at trunc
+    if (denominator.min_degree() != m
+            or denominator.homogeneous_part(m) != positive_root_product(rs, work)):
+        raise InternalInconsistencyError(message)
     try:
-        reduced = numerator.divide_exact(root_poly)
-        unit = weyl_denominator(rs, work).divide_exact(root_poly)
+        return numerator.divide_exact(denominator)
     except ExactDivisionError as exc:
-        raise InternalInconsistencyError(
-            "alternating numerator/denominator not divisible by the root product") from exc
-    return reduced.divide_exact(unit)
+        raise InternalInconsistencyError(message) from exc

@@ -27,7 +27,10 @@ def parse_fraction(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (s,)) from None
     raise ValueError("expected an integer or a 'p/q' string, got %r" % (s,))
 
 
@@ -95,7 +98,7 @@ def _load_object(path) -> dict:
 
 def parse_weight_labels(text: str) -> tuple[Fraction, ...]:
     """Comma-separated Dynkin labels, integers or rationals: "2,1" or "1/2,1"."""
-    return tuple(Fraction(part.strip()) for part in text.split(","))
+    return tuple(parse_fraction(part.strip()) for part in text.split(","))
 
 
 def canonical_json(obj) -> str:

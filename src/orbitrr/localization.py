@@ -198,8 +198,8 @@ def todd_restriction_identity(rs: RootSystem, w: WeylElement, trunc: int) -> boo
         cov = w.act(g)
         lhs_prod = lhs_prod * (1 - TruncatedSeries.exp_linear(tuple(-c for c in cov), work))
     lhs = root_poly.divide_exact(lhs_prod) * w.sign
-    rhs_unit = weyl_denominator(rs, work).divide_exact(root_poly)
-    rhs = TruncatedSeries.exp_linear(w.act(rs.rho), trunc).divide_exact(rhs_unit)
+    rhs = ((root_poly * TruncatedSeries.exp_linear(w.act(rs.rho), work))
+           .divide_exact(weyl_denominator(rs, work)))
     return lhs == rhs
 
 
@@ -287,6 +287,8 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int, *,
                           retries: int = DEFAULT_RETRIES) -> tuple[Fraction, int]:
     """Iterated residue of the fibration integrand, before the calibrated
     constant; returns (value, retry attempts used)."""
+    if k < 1:
+        raise ValueError("the residue route needs k >= 1, got %s" % k)
     lam_labels = vec(lam_labels)
     points = tuple(points)
     if not points:
@@ -435,6 +437,8 @@ def fibration_rr_base(oracle: BaseIntersectionOracle, rs: RootSystem, lam_labels
         raise ValueError("oracle generator degrees %s do not match the group's %s"
                          % (oracle.generator_degrees[1:], degs))
     cap = oracle.top_degree
+    if trunc is not None and trunc < cap:
+        raise ValueError("trunc %d is below the oracle's top degree %d" % (trunc, cap))
     n_series = cap if trunc is None else trunc
     s_series = character_series(rs, scaled, n_series)
     nsym = 1 + len(degs)

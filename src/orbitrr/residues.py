@@ -268,14 +268,14 @@ def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
     last = tuple(base[i][n - 1] for i in range(n))
     if not cone.contains(last):
         raise ValueError("last coordinate vector must lie inside the cone")
+    if mat_det(base) == 0:
+        raise ValueError("coordinate vectors must form a basis")
     # the frame change is linear and keeps distinct signatures distinct,
     # so merging once here spares every attempt the duplicate transforms
     terms = merge_terms(terms)
     failure: Exception | None = None
     for attempt in range(retries + 1):
         frame = _perturbed_coords(base, attempt, seed)
-        if mat_det(frame) == 0:  # pragma: no cover - shears keep det nonzero
-            continue
         try:
             work = [t.pull_back(frame) for t in terms]
             for var in range(n - 1, -1, -1):

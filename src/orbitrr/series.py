@@ -12,11 +12,13 @@ by ``TruncatedSeries.exp_sum``, one coefficient at a time and in integers
 when the forms and weights are integral.
 
 There is one division, ``divide_exact``: the divisor may be a polynomial
-or a truncated series, its lowest homogeneous part (degree dmin) leads,
-and the quotient is truncated at min(num.trunc, den.trunc) - dmin, a
-polynomial only when both inputs are.  ``inverse`` is 1 divided by the
-series.  There is one change of variables, ``substitute_linear``, by
-Horner's rule over the variables that move.
+or a truncated series.  It is one long division under a local degree
+order, led by the divisor's lowest homogeneous part (degree dmin), as in
+Mora's normal form for power series; the quotient is truncated at
+min(num.trunc, den.trunc) - dmin, a polynomial only when both inputs are.
+``inverse`` is 1 divided by the series.  There is one change of
+variables, ``substitute_linear``, by Horner's rule over the variables
+that move.
 
 The flag-variety fiber integral also lives here: it is a pure identity
 on antisymmetrized polynomials and is the self-check that exact division
@@ -25,6 +27,7 @@ by the product of positive roots is available.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import factorial
 
@@ -239,46 +242,56 @@ class TruncatedSeries:
     def divide_exact(self, den: "TruncatedSeries") -> "TruncatedSeries":
         """Exact division, by a polynomial or by a truncated series.
 
-        The lowest homogeneous part of the divisor (degree dmin) leads a
-        long division, one degree at a time.  The quotient is known, and
-        truncated, through degree min(self.trunc, den.trunc) - dmin; it is
-        a polynomial only when both inputs are.  Products beyond that cap
-        are skipped.  A nonzero remainder (at any degree that the inputs
-        determine) raises ExactDivisionError.
+        Remainder monomials are visited by ascending total degree, then
+        lex-descending; the lead is the lex-largest monomial of the
+        divisor's lowest homogeneous part (degree dmin).  Each quotient
+        term subtracts itself times the rest of the divisor, whose
+        monomials all come later, so each monomial is visited once.  The
+        quotient is a polynomial only when both inputs are; otherwise it
+        is truncated at min(self.trunc, den.trunc) - dmin and products
+        past that cap are skipped.  A nonzero remainder (at any degree
+        that the inputs determine) raises ExactDivisionError.
         """
         if den.is_zero():
             raise ExactDivisionError("division by zero polynomial")
         if self.num_vars != den.num_vars:
             raise ValueError("variable count mismatch")
         dmin = den.min_degree()
-        lead = {m: c for m, c in den.coeffs.items() if sum(m) == dmin}
-        den_terms = [(m, c, sum(m)) for m, c in den.coeffs.items()]
+        lead = max(m for m in den.coeffs if sum(m) == dmin)
+        lead_coeff = den.coeffs[lead]
+        rest = sorted((sum(m), m, c) for m, c in den.coeffs.items() if m != lead)
         trunc = _min_trunc(self.trunc, den.trunc)
-        n_cap = trunc if trunc is not None else self.max_degree()
+        cap = trunc if trunc is not None else self.max_degree()
         rem = dict(self.coeffs)
+        heap = [(sum(m), tuple(-e for e in m)) for m in rem]
+        heapq.heapify(heap)
         quot: dict[Monomial, Fraction] = {}
-        for deg in range(0, n_cap + 1):
-            part = {m: c for m, c in rem.items() if sum(m) == deg}
-            if not part:
+        while heap:
+            deg, neg = heapq.heappop(heap)
+            m = tuple(-e for e in neg)
+            c = rem.pop(m)
+            if not c:
                 continue
+            if deg > cap:
+                if trunc is None:
+                    raise ExactDivisionError("nonzero remainder in exact division")
+                break
             if deg < dmin:
                 raise ExactDivisionError("numerator has terms below divisor degree")
-            qpart = _divide_homogeneous(part, lead)
-            quot.update(qpart)
-            for mq, cq in qpart.items():
-                for md, cd, dd in den_terms:
-                    if trunc is not None and deg - dmin + dd > trunc:
-                        continue
-                    m = tuple(a + b for a, b in zip(mq, md))
-                    val = rem.get(m, Fraction(0)) - cq * cd
-                    if val:
-                        rem[m] = val
-                    else:
-                        rem.pop(m, None)
-        if trunc is None and any(c for c in rem.values()):
-            raise ExactDivisionError("nonzero remainder in exact division")
-        if any(c for m, c in rem.items() if sum(m) <= n_cap):
-            raise ExactDivisionError("nonzero remainder in exact division")
+            mq = tuple(a - b for a, b in zip(m, lead))
+            if min(mq, default=0) < 0:
+                raise ExactDivisionError("nonzero remainder in exact division")
+            cq = c / lead_coeff
+            quot[mq] = cq
+            for dd, md, cd in rest:
+                if trunc is not None and deg - dmin + dd > trunc:
+                    break
+                mm = tuple(a + b for a, b in zip(mq, md))
+                if mm in rem:
+                    rem[mm] -= cq * cd
+                else:
+                    rem[mm] = -cq * cd
+                    heapq.heappush(heap, (deg - dmin + dd, tuple(-e for e in mm)))
         qtrunc = None if trunc is None else trunc - dmin
         return TruncatedSeries(self.num_vars, quot, qtrunc)
 
@@ -373,32 +386,6 @@ class TruncatedSeries:
     def __repr__(self):
         cap = "" if self.trunc is None else " + O(deg %d)" % (self.trunc + 1)
         return "<series %s%s>" % (self.to_text(), cap)
-
-
-def _divide_homogeneous(part: dict[Monomial, Fraction],
-                        lead: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-    """Exact division of a homogeneous polynomial by a homogeneous divisor
-    (single-divisor long division under lex order; any surviving remainder
-    means the division is not exact)."""
-    rem = dict(part)
-    lead_mono = max(lead)
-    lead_coeff = lead[lead_mono]
-    quot: dict[Monomial, Fraction] = {}
-    while rem:
-        m = max(rem)
-        if any(a < b for a, b in zip(m, lead_mono)):
-            raise ExactDivisionError("homogeneous division has a remainder")
-        mq = tuple(a - b for a, b in zip(m, lead_mono))
-        cq = rem[m] / lead_coeff
-        quot[mq] = quot.get(mq, Fraction(0)) + cq
-        for md, cd in lead.items():
-            mm = tuple(a + b for a, b in zip(mq, md))
-            val = rem.get(mm, Fraction(0)) - cq * cd
-            if val:
-                rem[mm] = val
-            else:
-                rem.pop(mm, None)
-    return quot
 
 
 def positive_root_product(rs: RootSystem, trunc: int | None = None) -> TruncatedSeries:

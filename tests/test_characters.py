@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from orbitrr.characters import character_series, orbit_volume, weyl_denominator, weyl_dim
-from orbitrr.errors import DegenerateOrbitError
+from orbitrr.errors import DegenerateOrbitError, InternalInconsistencyError
 from orbitrr.multiplicities import weight_multiplicities
 from orbitrr.roots import build_root_system, enumerate_weyl_group
 from orbitrr.series import TruncatedSeries
@@ -49,6 +49,15 @@ def test_character_series_su2_example():
     rs = build_root_system("A", 1)
     s = character_series(rs, (2,), 2)
     assert s.to_text() == "3 + 4 * x1^2"
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
+def test_character_series_self_check_catches_a_bad_weyl_group(monkeypatch, label):
+    rs = build_root_system(label[0], int(label[1]))
+    group = enumerate_weyl_group(rs)
+    monkeypatch.setattr("orbitrr.characters.enumerate_weyl_group", lambda _: group[:-1])
+    with pytest.raises(InternalInconsistencyError, match="root product"):
+        character_series(rs, (1,) * rs.rank, 2)
 
 
 def test_character_series_constant_terms():

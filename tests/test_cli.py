@@ -69,6 +69,8 @@ def test_symplectic_exponent_key_is_accepted_as_alias(tmp_path):
                                 "--route", "both"]),
     ("rr_orbit_d4_1111_k2.json", ["rr-orbit", "--group", "D4", "--weight", "1,1,1,1",
                                   "--k", "2"]),
+    ("character_c3_111_t4.json", ["character", "--group", "C3", "--weight", "1,1,1",
+                                  "--trunc", "4"]),
 ])
 def test_golden_outputs(capsys, golden, argv):
     code, out = run(capsys, *argv)
@@ -100,6 +102,25 @@ def test_exit_code_input_error(capsys):
     assert code == 1
     code, _ = run(capsys, "dim", "--group", "A1", "--weight", "-1")
     assert code == 1
+
+
+def test_zero_denominator_weight_is_an_input_error(capsys):
+    code = main(["dim", "--group", "A2", "--weight", "1/0,1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("input error:") and "denominator" in captured.err
+
+
+def test_fibration_at_k_zero_is_an_input_error(capsys):
+    # the residue route is refused below k = 1 instead of disagreeing with
+    # the base route
+    code = main(["fibration", "--weight", "1", "--k", "0",
+                 "--fixture", str(FIXTURES / "su2_three_spheres.json"),
+                 "--base-fixture", str(FIXTURES / "su2_point_base.json"),
+                 "--route", "both"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("input error:") and "k >= 1" in captured.err
 
 
 def test_exit_code_singular_fibration(capsys, tmp_path):
@@ -197,12 +218,18 @@ def _base_oracle(**changes):
     ("base", _base_oracle(top_degree=None), "top_degree"),
     ("base", _base_oracle(pairing=[[[0, 0, 0], "1"]]), "one exponent per generator"),
     ("base", _base_oracle(todd=[[[0], "1"]]), "one exponent per generator"),
+    ("fibration", {"group": "A1",
+                   "fixed_points": [{"label": "p", "moment": ["1/0"], "tangent_weights": [["2"]]}]},
+     "denominator"),
+    ("jk-residue", _residue_problem(xi=["1/0", "1"]), "denominator"),
+    ("jk-residue", _residue_problem(coords=[["1", "3"], ["1", "3"]]), "basis"),
 ], ids=["scalar-moment", "top-level-list", "short-phase", "non-spanning-denominators",
         "non-object-fixed-point", "number-fixed-points", "string-fixed-points",
         "number-group", "number-terms", "number-term", "number-dens", "number-num",
         "number-coords", "zero-multiplicity", "negative-multiplicity", "zero-vars",
         "number-generators", "number-pairing", "null-top-degree", "long-pairing-monomial",
-        "short-todd-monomial"])
+        "short-todd-monomial", "zero-denominator-moment", "zero-denominator-xi",
+        "singular-coords"])
 def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc, fragment):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -252,6 +252,31 @@ def test_base_route_rejects_mismatched_generators(a1):
         fibration_rr_base(bad, a1, (1,), 1)
 
 
+def test_base_route_refuses_a_truncation_below_the_top_degree(a1):
+    # top degree 2: at trunc 0 or 1 the character class would lose the
+    # degree-2 term that pairs with a2, and the value would drop from 7 to 6
+    oracle = BaseIntersectionOracle(
+        generator_names=("w0", "a2"),
+        generator_degrees=(1, 2),
+        top_degree=2,
+        pairing={(2, 0): F(1), (0, 1): F(1, 2)},
+        todd={(0, 0): F(1)},
+    )
+    for trunc in (None, 2, 3, 4):
+        assert fibration_rr_base(oracle, a1, (1,), 2, trunc) == 7
+    for trunc in (0, 1):
+        with pytest.raises(ValueError, match="top degree"):
+            fibration_rr_base(oracle, a1, (1,), 2, trunc)
+
+
+def test_residue_route_refuses_k_below_one(a1):
+    # at k = 0 the residue used to read 0 where the tensor oracle gives 1
+    points = product_orbit_fixed_data(a1, [(1,), (1,), (1,)])
+    for k in (0, -1, -2):
+        with pytest.raises(ValueError, match="k >= 1"):
+            raw_fibration_residue(points, a1, (1,), k)
+
+
 def test_base_route_requires_dominant_integral_k_lambda(a1):
     oracle = BaseIntersectionOracle.point(a1)
     with pytest.raises(ValueError):

@@ -176,6 +176,97 @@ def test_divide_exact_by_a_truncated_divisor_checks_the_remainder():
         x.divide_exact(den)
 
 
+def _divide_by_degrees(num, den):
+    # the earlier division, written out as the reference: each homogeneous
+    # part of the remainder is divided by the divisor's lowest part under
+    # lex order, then that quotient part times the whole divisor is
+    # subtracted, skipping products past the cap
+    if den.is_zero():
+        raise ExactDivisionError("division by zero polynomial")
+    dmin = den.min_degree()
+    lead = {m: c for m, c in den.coeffs.items() if sum(m) == dmin}
+    lead_mono = max(lead)
+    truncs = [t for t in (num.trunc, den.trunc) if t is not None]
+    trunc = min(truncs) if truncs else None
+    n_cap = trunc if trunc is not None else num.max_degree()
+    rem = dict(num.coeffs)
+    quot = {}
+    for deg in range(n_cap + 1):
+        part = {m: c for m, c in rem.items() if sum(m) == deg}
+        if not part:
+            continue
+        if deg < dmin:
+            raise ExactDivisionError("numerator has terms below divisor degree")
+        qpart = {}
+        while part:
+            m = max(part)
+            if any(a < b for a, b in zip(m, lead_mono)):
+                raise ExactDivisionError("homogeneous division has a remainder")
+            mq = tuple(a - b for a, b in zip(m, lead_mono))
+            cq = part[m] / lead[lead_mono]
+            qpart[mq] = qpart.get(mq, F(0)) + cq
+            for md, cd in lead.items():
+                mm = tuple(a + b for a, b in zip(mq, md))
+                val = part.get(mm, F(0)) - cq * cd
+                if val:
+                    part[mm] = val
+                else:
+                    part.pop(mm, None)
+        quot.update(qpart)
+        for mq, cq in qpart.items():
+            for md, cd in den.coeffs.items():
+                if trunc is not None and deg - dmin + sum(md) > trunc:
+                    continue
+                m = tuple(a + b for a, b in zip(mq, md))
+                val = rem.get(m, F(0)) - cq * cd
+                if val:
+                    rem[m] = val
+                else:
+                    rem.pop(m, None)
+    if trunc is None and any(rem.values()):
+        raise ExactDivisionError("nonzero remainder in exact division")
+    if any(c for m, c in rem.items() if sum(m) <= n_cap):
+        raise ExactDivisionError("nonzero remainder in exact division")
+    return S(num.num_vars, quot, None if trunc is None else trunc - dmin)
+
+
+def _division_case(rng):
+    # den = (dmin linear forms) * unit, num = q * den, each a polynomial or
+    # truncated; three cases in ten get one stray numerator term
+    num_vars = rng.randint(1, 3)
+    dmin = rng.randint(0, 2)
+    den = TruncatedSeries.constant(1, num_vars)
+    for _ in range(dmin):
+        form = [rng.randint(-2, 2) for _ in range(num_vars)]
+        form[rng.randrange(num_vars)] = rng.choice([1, -3])
+        den = den * TruncatedSeries.linear_form(form)
+    den = den * (_random_series(rng, num_vars, 1, 3) + F(rng.choice([1, -2, 3]), rng.randint(1, 3)))
+    num = den * (_random_series(rng, num_vars, 0, 3) + rng.randint(1, 3))
+    if rng.random() < 0.3:
+        mono = tuple(rng.randint(0, 3) for _ in range(num_vars))
+        num = num + S(num_vars, {mono: F(rng.choice([-1, 1, 2]), rng.randint(1, 3))})
+    num = num.truncate(rng.choice([None, None, rng.randint(0, 7)]))
+    den = den.truncate(rng.choice([None, None, rng.randint(dmin, 6)]))
+    return num, den
+
+
+def test_divide_exact_matches_the_division_by_degrees():
+    rng = random.Random(2004)
+    raised = 0
+    for _ in range(300):
+        num, den = _division_case(rng)
+        try:
+            expect = _divide_by_degrees(num, den)
+        except ExactDivisionError:
+            raised += 1
+            with pytest.raises(ExactDivisionError):
+                num.divide_exact(den)
+            continue
+        q = num.divide_exact(den)
+        assert (q, q.trunc) == (expect, expect.trunc)
+    assert 20 < raised < 200
+
+
 def _geometric_inverse(s):
     # 1/s = (1/c) * sum_k t^k with t = 1 - s/c
     c = s.constant_term()
