@@ -3,10 +3,11 @@ SU(2) spheres, computed three independent ways.
 
 The manifold is the product of three unit coadjoint orbits; its reduction
 at zero is a single point (the equilateral triangle), so the base route
-needs only the point intersection oracle.  The residue route assembles
-one rational-exponential term per (fixed point, Weyl element) pair and
-takes an iterated residue; its overall constant is calibrated once on the
-k = 1 case and then frozen.  The tensor-product oracle is pure
+needs only the point intersection oracle.  The residue route sums the
+(fixed point, Weyl element) contributions into one rational-exponential
+term per (phase, tangent-weight multiset) and takes an iterated residue;
+its overall constant is calibrated once on the k = 1 case and then
+frozen.  The tensor-product oracle is pure
 representation-theoretic combinatorics and shares no code with either.
 
 Run:  python demos/fibration_pipeline.py

@@ -11,9 +11,9 @@ from .errors import (CalibrationDriftError, ConfigurationError, ConvergenceError
                      SingularValueError)
 from .invariants import express_invariant, fundamental_degrees, invariant_generators
 from .localization import (BaseIntersectionOracle, CalibrationRegistry, FixedPointDatum,
-                           coadjoint_orbit_points, fibration_rr_base, fibration_rr_residue,
-                           orbit_fixed_data, product_orbit_fixed_data, raw_fibration_residue,
-                           rr_leading_coefficient, rr_orbit_fixedpoint, todd_restriction_identity)
+                           fibration_rr_base, fibration_rr_residue, product_orbit_fixed_data,
+                           raw_fibration_residue, rr_leading_coefficient, rr_orbit_fixedpoint,
+                           todd_restriction_identity)
 from .multiplicities import (tensor_multiplicity, weight_count_dimension,
                              weight_multiplicities)
 from .residues import (Cone, RatExpTerm, build_cone, make_term, merge_terms, res_cone,
@@ -31,10 +31,9 @@ __all__ = [
     "FixedPointDatum", "GeneratorDeficiencyError", "GenericityError",
     "InadmissibleInputError", "InternalInconsistencyError", "RatExpTerm", "RootSystem",
     "SingularValueError", "TruncatedSeries", "WeylElement", "build_cone",
-    "build_root_system", "character_series", "coadjoint_orbit_points",
-    "enumerate_weyl_group", "express_invariant", "fibration_rr_base",
-    "fibration_rr_residue", "flag_integral", "fundamental_degrees", "invariant_generators",
-    "make_term", "merge_terms", "orbit_fixed_data", "orbit_volume", "parse_group_label",
+    "build_root_system", "character_series", "enumerate_weyl_group", "express_invariant",
+    "fibration_rr_base", "fibration_rr_residue", "flag_integral", "fundamental_degrees",
+    "invariant_generators", "make_term", "merge_terms", "orbit_volume", "parse_group_label",
     "partition_fiber_volume", "positive_root_product", "product_orbit_fixed_data",
     "raw_fibration_residue", "res_cone", "res_plus_1d", "rr_leading_coefficient",
     "rr_orbit_fixedpoint", "todd_restriction_identity", "tensor_multiplicity", "weight_count_dimension",

@@ -64,7 +64,7 @@ def orbit_volume(rs: RootSystem, labels) -> Fraction:
             raise DegenerateOrbitError("point lies on the wall of %s" % (g,))
         num *= pg
         den *= rs.pairing(rs.rho, g)
-    if num < 0:
+    if any(c < 0 for c in point):
         raise ValueError("point is regular but not dominant")
     return num / den
 

@@ -100,8 +100,7 @@ def _cmd_fibration(args) -> int:
         doc["oracle"] = tensor_multiplicity(rs, factors, target)
     if args.route in ("residue", "both"):
         registry = CalibrationRegistry()
-        value = fibration_rr_residue(points, rs, lam, args.k,
-                                     seed=args.seed, retries=args.retries, registry=registry)
+        value = fibration_rr_residue(points, rs, lam, args.k, registry=registry)
         doc["residue"] = fraction_to_str(value)
         constant = registry.constants[(rs.label, len(points[0].tangent_weights))]
         doc["constant"] = fraction_to_str(constant)
@@ -187,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-fixture", help="intersection oracle JSON (base route)")
     p.add_argument("--route", choices=("base", "residue", "both"), default="both")
     p.add_argument("--trunc", type=int, default=None)
-    p.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
     p.add_argument("--oracle-factors", dest="oracle_factors",
                    help="semicolon-separated factor weights for the tensor "
                         "oracle value, e.g. '1;1;1' for a product of orbits")

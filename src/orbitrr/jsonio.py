@@ -73,6 +73,8 @@ def _parse_int(value, what: str, least: int) -> int:
 def _parse_monomial(mono) -> tuple[int, ...]:
     if not isinstance(mono, list) or not all(isinstance(e, int) for e in mono):
         raise ValueError("expected a list of integer exponents, got %r" % (mono,))
+    if any(e < 0 for e in mono):
+        raise ValueError("exponents must be nonnegative, got %r" % (mono,))
     return tuple(mono)
 
 

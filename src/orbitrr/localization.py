@@ -7,7 +7,8 @@ Three routes live here, sharing only the root-system data:
   is one integer binomial sum over the Weyl group; the lower-order sums
   must vanish, or the sum has a pole at u = 1.
 * ``fibration_rr_residue``: the iterated-residue route for a fibration
-  with fiber a coadjoint orbit.  Its Todd factors are t / (1 - e^{-t}),
+  with fiber a coadjoint orbit, for A1 and A2 (the groups the tensor
+  oracle proves).  Its Todd factors are t / (1 - e^{-t}),
   one exact division each, and the residues pull terms back by linear
   changes of variables.  The integrand sums the contributions of
   the (fixed point, Weyl element) pairs per (phase, tangent-weight
@@ -28,12 +29,12 @@ from itertools import product as iproduct
 from math import comb, factorial, prod
 
 from .characters import character_series, check_weight
-from .errors import (CalibrationDriftError, DegenerateOrbitError, InadmissibleInputError,
-                     InternalInconsistencyError, SingularValueError)
+from .errors import (CalibrationDriftError, ConfigurationError, DegenerateOrbitError,
+                     InadmissibleInputError, InternalInconsistencyError, SingularValueError)
 from .invariants import express_invariant, fundamental_degrees
 from .linalg import Vec, vec
 from .multiplicities import tensor_multiplicity
-from .residues import (DEFAULT_RETRIES, DEFAULT_SEED, build_cone, make_term, res_cone)
+from .residues import build_cone, make_term, res_cone
 from .roots import RootSystem, WeylElement, enumerate_weyl_group
 from .series import TruncatedSeries, positive_root_product
 
@@ -56,42 +57,24 @@ class FixedPointDatum:
                 raise ValueError("tangent weights must be nonzero (isolated fixed points)")
 
 
-def orbit_fixed_data(rs: RootSystem, labels) -> tuple[FixedPointDatum, ...]:
-    """Torus-fixed points of the coadjoint orbit through a regular point:
-    one per Weyl element, with moment value w(Lambda) and tangent weights
-    the w-images of the positive roots."""
-    point = vec(labels)
-    if not rs.is_regular(point):
-        raise DegenerateOrbitError("orbit point lies on a Weyl wall")
-    data = []
-    for w in enumerate_weyl_group(rs):
-        data.append(FixedPointDatum(
-            label="w" + ("".join(str(i + 1) for i in w.word) or "0"),
-            moment=w.act(point),
-            tangent_weights=tuple(w.act(g) for g in rs.positive_roots),
-        ))
-    return tuple(data)
-
-
-def coadjoint_orbit_points(rs: RootSystem, labels) -> list[tuple[Vec, tuple[Vec, ...]]]:
-    """(moment, tangent weights) for each fixed point of one coadjoint
-    orbit; the point need not be regular (smaller orbits have fewer
-    fixed points and fewer tangent weights)."""
-    mu = vec(labels)
-    seen = {}
-    for w in enumerate_weyl_group(rs):
-        img = w.act(mu)
-        if img in seen:
-            continue
-        tangent = tuple(w.act(g) for g in rs.positive_roots if rs.pairing(g, mu) > 0)
-        seen[img] = (img, tangent)
-    return list(seen.values())
-
-
 def product_orbit_fixed_data(rs: RootSystem, factor_labels) -> tuple[FixedPointDatum, ...]:
-    """Fixed-point data of a product of coadjoint orbits: moments add,
-    tangent weights concatenate."""
-    factors = [coadjoint_orbit_points(rs, f) for f in factor_labels]
+    """Fixed-point data of a product of coadjoint orbits.  The orbit through
+    mu has one fixed point per distinct Weyl image w mu, with tangent
+    weights the w-images of the positive roots that pair positively with
+    mu; a point on a wall has a smaller orbit, with fewer fixed points and
+    fewer tangent weights.  Over the product, moments add and tangent
+    weights concatenate."""
+    group = enumerate_weyl_group(rs)
+    factors = []
+    for labels in factor_labels:
+        mu = vec(labels)
+        roots = [g for g in rs.positive_roots if rs.pairing(g, mu) > 0]
+        fixed: dict = {}
+        for w in group:
+            img = w.act(mu)
+            if img not in fixed:
+                fixed[img] = tuple(w.act(g) for g in roots)
+        factors.append(fixed.items())
     data = []
     for combo in iproduct(*factors):
         moment = tuple(sum(pt[0][i] for pt in combo) for i in range(rs.rank))
@@ -237,56 +220,59 @@ def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
     element w contribute phase k(mu(F) - w Lambda), numerator the
     degree-truncated product of the orbit factor prod(1 - e^{-<w gamma,X>})
     with the tangent Todd units at F, and denominators the tangent weights
-    at F.  The nonzero contributions are summed per (phase, tangent-weight
-    multiset), one term per sum; each Todd factor, Todd unit, orbit
-    factor and their product is built once per distinct input."""
+    at F.  By the Weyl denominator identity the orbit factor is the one
+    exponential sum sign(w) sum_u sign(u) e^{<u rho - w rho, X>}.  The
+    nonzero contributions are summed per (phase, tangent-weight multiset),
+    one term per sum; each orbit factor, Todd factor and product is built
+    once per distinct input.  All points have one dimension, so one
+    truncation degree serves them all."""
     l = rs.rank
+    cap = len(points[0].tangent_weights) - l
+    if cap < 0:
+        return []
     group = enumerate_weyl_group(rs)
+    rho_images = [(w.act(rs.rho), w.sign) for w in group]
+    orbit = [TruncatedSeries.exp_sum([(tuple(a - b for a, b in zip(u_rho, w_rho)), w_sign * u_sign)
+                                      for u_rho, u_sign in rho_images], cap)
+             for w_rho, w_sign in rho_images]
+    w_lam = [w.act(lam_labels) for w in group]
     todd: dict = {}
-    units: dict = {}
-    orbit: dict = {}
     products: dict = {}
     groups: dict = {}
     for pt in points:
-        cap = len(pt.tangent_weights) - l
-        if cap < 0:
+        if pt.symplectic_factor == 0:
             continue
         tangent = tuple(sorted(pt.tangent_weights))
-        if tangent not in units:
+        if tangent not in products:
             unit = TruncatedSeries.constant(1, l, cap)
             for t in tangent:
-                if (t, cap) not in todd:
+                if t not in todd:
                     one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
-                    todd[t, cap] = TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
-                unit = unit * todd[t, cap]
-            units[tangent] = unit
-        for i, w in enumerate(group):
-            if (i, cap) not in orbit:
-                factor = TruncatedSeries.constant(1, l, cap)
-                for g in rs.positive_roots:
-                    cov = w.act(g)
-                    factor = factor * (1 - TruncatedSeries.exp_linear(tuple(-c for c in cov), cap))
-                orbit[i, cap] = factor
-            if (i, tangent) not in products:
-                products[i, tangent] = orbit[i, cap] * units[tangent]
+                    todd[t] = TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
+                unit = unit * todd[t]
+            products[tangent] = [factor * unit for factor in orbit]
+        for i, product in enumerate(products[tangent]):
             # a group whose contributions cancel still yields a (zero) term,
             # so the generic direction keeps avoiding its phase
-            if products[i, tangent].is_zero() or pt.symplectic_factor == 0:
+            if product.is_zero():
                 continue
-            phase = tuple(k * (pm - wl) for pm, wl in zip(pt.moment, w.act(lam_labels)))
+            phase = tuple(k * (pm - wl) for pm, wl in zip(pt.moment, w_lam[i]))
             scalars = groups.setdefault((phase, tangent), {})
             scalars[i] = scalars.get(i, 0) + pt.symplectic_factor
-    return [make_term(l, sum((products[i, tangent] * c for i, c in scalars.items()),
+    return [make_term(l, sum((products[tangent][i] * c for i, c in scalars.items()),
                              TruncatedSeries(l)),
                       phase, [(t, 1) for t in tangent])
             for (phase, tangent), scalars in groups.items()]
 
 
-def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int, *,
-                          seed: int = DEFAULT_SEED,
-                          retries: int = DEFAULT_RETRIES) -> tuple[Fraction, int]:
+def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> tuple[Fraction, int]:
     """Iterated residue of the fibration integrand, before the calibrated
-    constant; returns (value, retry attempts used)."""
+    constant; returns (value, retry attempts used).  Only A1 and A2 are
+    accepted: on B2 and G2 the raw values imply a constant that changes
+    from case to case, so no calibration maps them to the tensor oracle."""
+    if rs.label not in ("A1", "A2"):
+        raise ConfigurationError("the residue route is proven for A1 and A2 only, not %s"
+                                 % rs.label)
     if k < 1:
         raise ValueError("the residue route needs k >= 1, got %s" % k)
     lam_labels = vec(lam_labels)
@@ -316,7 +302,7 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int, *,
     phases = [t.phase for t in terms if any(c != 0 for c in t.phase)]
     xi = _generic_direction(weights + phases, rs.rank)
     cone = build_cone(weights, vec(xi))
-    return res_cone(terms, cone, seed=seed, retries=retries)
+    return res_cone(terms, cone)
 
 
 @dataclass
@@ -328,17 +314,15 @@ class CalibrationRegistry:
 
     constants: dict[tuple[str, int], Fraction] = field(default_factory=dict)
 
-    def register(self, rs: RootSystem, points, lam_labels, k: int, expected,
-                 *, seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) -> Fraction:
-        raw, _ = raw_fibration_residue(points, rs, lam_labels, k, seed=seed, retries=retries)
+    def register(self, rs: RootSystem, points, lam_labels, k: int, expected) -> Fraction:
+        raw, _ = raw_fibration_residue(points, rs, lam_labels, k)
         if raw == 0:
             raise InternalInconsistencyError("calibration case has zero raw residue")
         c = Fraction(expected) / raw
         self.constants[(rs.label, len(points[0].tangent_weights))] = c
         return c
 
-    def constant_for(self, rs: RootSystem, half_dim: int, *,
-                     seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) -> Fraction:
+    def constant_for(self, rs: RootSystem, half_dim: int) -> Fraction:
         key = (rs.label, half_dim)
         if key in self.constants:
             return self.constants[key]
@@ -348,19 +332,13 @@ class CalibrationRegistry:
             points = product_orbit_fixed_data(rs, [(1,)] * half_dim)
             k = 1 if half_dim % 2 == 1 else 2
             expected = tensor_multiplicity(rs, [(k,)] * half_dim, (k,))
-            return self.register(rs, points, (1,), k, expected, seed=seed, retries=retries)
+            return self.register(rs, points, (1,), k, expected)
         raise InadmissibleInputError(
             "no calibration case known for signature (%s, %d); register one" % key)
 
-    def check(self, rs: RootSystem, points, lam_labels, k: int, expected, *,
-              seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) -> Fraction:
-        """Recompute the implied constant on a case with known value and
-        fail loudly if it drifted from the frozen one."""
-        raw, _ = raw_fibration_residue(points, rs, lam_labels, k, seed=seed, retries=retries)
-        return self.check_raw(rs, len(points[0].tangent_weights), raw, expected)
-
     def check_raw(self, rs: RootSystem, half_dim: int, raw, expected) -> Fraction:
-        """The drift check of `check` on an already computed raw residue."""
+        """Recompute the implied constant from a raw residue with known
+        value and fail loudly if it drifted from the frozen one."""
         frozen = self.constant_for(rs, half_dim)
         if raw == 0 or Fraction(expected) / raw != frozen:
             raise CalibrationDriftError(
@@ -370,7 +348,6 @@ class CalibrationRegistry:
 
 
 def fibration_rr_residue(points, rs: RootSystem, lam_labels, k: int, *,
-                         seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES,
                          registry: CalibrationRegistry | None = None) -> Fraction:
     """Riemann-Roch number of the fibration by the residue route: the
     calibrated constant times the iterated residue of the fixed-point
@@ -378,8 +355,8 @@ def fibration_rr_residue(points, rs: RootSystem, lam_labels, k: int, *,
     registry local to this call."""
     registry = registry if registry is not None else CalibrationRegistry()
     points = tuple(points)
-    raw, _ = raw_fibration_residue(points, rs, lam_labels, k, seed=seed, retries=retries)
-    c = registry.constant_for(rs, len(points[0].tangent_weights), seed=seed, retries=retries)
+    raw, _ = raw_fibration_residue(points, rs, lam_labels, k)
+    c = registry.constant_for(rs, len(points[0].tangent_weights))
     return c * raw
 
 

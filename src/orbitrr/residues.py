@@ -274,6 +274,7 @@ def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
     # so merging once here spares every attempt the duplicate transforms
     terms = merge_terms(terms)
     failure: Exception | None = None
+    tried = 0
     for attempt in range(retries + 1):
         frame = _perturbed_coords(base, attempt, seed)
         try:
@@ -287,8 +288,8 @@ def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
             jac = mat_det(frame)
             return total * abs(jac), attempt
         except (ConvergenceError, GenericityError) as exc:
-            failure = exc
+            failure, tried = exc, attempt + 1
             if n == 1:
                 break
     raise GenericityError(
-        "residue genericity exhausted after %d attempts: %s" % (retries + 1, failure))
+        "residue genericity exhausted after %d attempts: %s" % (tried, failure))

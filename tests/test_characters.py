@@ -45,6 +45,15 @@ def test_orbit_volume_wall_error():
         orbit_volume(build_root_system("A", 2), (1, 0))
 
 
+def test_orbit_volume_refuses_a_non_dominant_point():
+    # (1,-3) has an even number of negative root pairings, so the sign of
+    # their product alone cannot tell it from a dominant point
+    rs = build_root_system("A", 2)
+    for labels in ((2, -1), (1, -3)):
+        with pytest.raises(ValueError, match="not dominant"):
+            orbit_volume(rs, labels)
+
+
 def test_character_series_su2_example():
     rs = build_root_system("A", 1)
     s = character_series(rs, (2,), 2)

@@ -223,13 +223,19 @@ def _base_oracle(**changes):
      "denominator"),
     ("jk-residue", _residue_problem(xi=["1/0", "1"]), "denominator"),
     ("jk-residue", _residue_problem(coords=[["1", "3"], ["1", "3"]]), "basis"),
+    ("jk-residue", {"vars": 1, "xi": ["1"],
+                    "terms": [{"num": [[[-2], "1"]], "phase": ["1"], "dens": [[["1"], 1]]}]},
+     "nonnegative"),
+    ("base", _base_oracle(todd=[[[0, 0], "1"], [[0, -1], "1"]]), "nonnegative"),
+    ("base", _base_oracle(pairing=[[[0, 0], "1"], [[2, -1], "1"]]), "nonnegative"),
 ], ids=["scalar-moment", "top-level-list", "short-phase", "non-spanning-denominators",
         "non-object-fixed-point", "number-fixed-points", "string-fixed-points",
         "number-group", "number-terms", "number-term", "number-dens", "number-num",
         "number-coords", "zero-multiplicity", "negative-multiplicity", "zero-vars",
         "number-generators", "number-pairing", "null-top-degree", "long-pairing-monomial",
         "short-todd-monomial", "zero-denominator-moment", "zero-denominator-xi",
-        "singular-coords"])
+        "singular-coords", "negative-num-exponent", "negative-todd-exponent",
+        "negative-pairing-exponent"])
 def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc, fragment):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

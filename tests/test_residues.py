@@ -163,6 +163,18 @@ def test_res_cone_refuses_phase_on_a_denominator_ray():
         res_cone([t], cone, coords, seed=5)
 
 
+def test_res_cone_failure_reports_the_attempts_made():
+    # one variable has no frame to re-draw, so it stops after one attempt
+    marginal = simple_term((F(0),), [((F(1),), 1)])
+    with pytest.raises(GenericityError, match="after 1 attempts"):
+        res_cone([marginal], build_cone([(F(1),)], (F(1),)))
+    t = simple_term((F(0), F(1)), [((F(1), F(0)), 1), ((F(0), F(1)), 1)])
+    cone = build_cone([(1, 0), (0, 1)], (F(1), F(1)))
+    coords = ((F(1), F(1)), (F(0), F(1)))
+    with pytest.raises(GenericityError, match="after 4 attempts"):
+        res_cone([t], cone, coords, seed=5, retries=3)
+
+
 def _unlucky_frame():
     # valid input (phase off every proper span of the denominator forms),
     # but the chosen frame makes an intermediate phase vanish on a term
