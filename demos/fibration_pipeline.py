@@ -6,8 +6,8 @@ at zero is a single point (the equilateral triangle), so the base route
 needs only the point intersection oracle.  The residue route sums the
 (fixed point, Weyl element) contributions into one rational-exponential
 term per (phase, tangent-weight multiset) and takes an iterated residue;
-its overall constant is calibrated once on the k = 1 case and then
-frozen.  The tensor-product oracle is pure
+its overall constant det(Cartan) / |W| (1 for SU(2)) is derived from the
+root system and frozen in the registry.  The tensor-product oracle is pure
 representation-theoretic combinatorics and shares no code with either.
 
 Run:  python demos/fibration_pipeline.py

@@ -12,10 +12,12 @@ Three routes live here, sharing only the root-system data:
   one exact division each, and the residues pull terms back by linear
   changes of variables.  The integrand sums the contributions of
   the (fixed point, Weyl element) pairs per (phase, tangent-weight
-  multiset), one term per sum.  The overall constant of the residue
-  theorem is calibrated once per (group, half-dimension) signature and
-  frozen in a ``CalibrationRegistry``: the caller's, or one local to the
-  call.  There is no module-level calibration state.
+  multiset), one term per sum.  The constant of the residue theorem is
+  derived, not fitted: det(Cartan) / |W|, the 1/|W| of nonabelian
+  localization times the order of the centre, which acts trivially on
+  every admissible configuration.  The route refuses reduced spaces of
+  negative expected dimension, whose raw residue is 0 whatever the
+  true value is.
 * ``fibration_rr_base``: the base-integral route, pairing the character
   class (expressed in invariant generators) against an intersection
   oracle for the reduced space at zero.
@@ -32,8 +34,7 @@ from .characters import character_series, check_weight
 from .errors import (CalibrationDriftError, ConfigurationError, DegenerateOrbitError,
                      InadmissibleInputError, InternalInconsistencyError, SingularValueError)
 from .invariants import express_invariant, fundamental_degrees
-from .linalg import Vec, vec
-from .multiplicities import tensor_multiplicity
+from .linalg import Vec, mat_det, vec
 from .residues import build_cone, make_term, res_cone
 from .roots import RootSystem, WeylElement, enumerate_weyl_group
 from .series import TruncatedSeries, positive_root_product
@@ -189,6 +190,9 @@ def todd_restriction_identity(rs: RootSystem, w: WeylElement, trunc: int) -> boo
 # ----------------------------------------------------------------------
 # residue route
 
+# the groups on which the residue route matches the tensor oracle
+PROVEN_GROUPS = ("A1", "A2")
+
 
 def _weight_in_root_lattice(rs: RootSystem, labels: Vec) -> bool:
     return all(c.denominator == 1 for c in rs.weight_vector(labels))
@@ -228,8 +232,6 @@ def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
     truncation degree serves them all."""
     l = rs.rank
     cap = len(points[0].tangent_weights) - l
-    if cap < 0:
-        return []
     group = enumerate_weyl_group(rs)
     rho_images = [(w.act(rs.rho), w.sign) for w in group]
     orbit = [TruncatedSeries.exp_sum([(tuple(a - b for a, b in zip(u_rho, w_rho)), w_sign * u_sign)
@@ -265,14 +267,19 @@ def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
             for (phase, tangent), scalars in groups.items()]
 
 
+def _check_proven(rs: RootSystem) -> None:
+    """Only A1 and A2 are accepted: on B2 and G2 the raw values imply a
+    constant that changes from case to case, so no constant maps them to
+    the tensor oracle."""
+    if rs.label not in PROVEN_GROUPS:
+        raise ConfigurationError("the residue route is proven for %s only, not %s"
+                                 % (" and ".join(PROVEN_GROUPS), rs.label))
+
+
 def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> tuple[Fraction, int]:
-    """Iterated residue of the fibration integrand, before the calibrated
-    constant; returns (value, retry attempts used).  Only A1 and A2 are
-    accepted: on B2 and G2 the raw values imply a constant that changes
-    from case to case, so no calibration maps them to the tensor oracle."""
-    if rs.label not in ("A1", "A2"):
-        raise ConfigurationError("the residue route is proven for A1 and A2 only, not %s"
-                                 % rs.label)
+    """Iterated residue of the fibration integrand, before the constant
+    det(Cartan) / |W|; returns (value, retry attempts used)."""
+    _check_proven(rs)
     if k < 1:
         raise ValueError("the residue route needs k >= 1, got %s" % k)
     lam_labels = vec(lam_labels)
@@ -282,6 +289,12 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> tuple[F
     sizes = {len(pt.tangent_weights) for pt in points}
     if len(sizes) != 1:
         raise ValueError("fixed points disagree on the manifold dimension")
+    # complex dimension of the reduced space: below 0 every nonempty level
+    # set is singular, and the residue is 0 whatever the true value is
+    reduced_dim = sizes.pop() - rs.rank - len(rs.positive_roots)
+    if reduced_dim < 0:
+        raise SingularValueError(
+            "the reduced space has negative expected dimension %d" % reduced_dim)
     if not rs.is_regular(lam_labels):
         raise DegenerateOrbitError("Lambda lies on a Weyl wall")
     scaled = tuple(k * c for c in lam_labels)
@@ -308,33 +321,17 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> tuple[F
 @dataclass
 class CalibrationRegistry:
     """Frozen residue-theorem constants, one per (group label, half
-    dimension of the manifold).  SU(2) signatures self-calibrate on the
-    product of spheres whose reduction at zero is a point; other
-    signatures must be registered explicitly against a known value."""
+    dimension of the manifold).  Each is derived from the root system as
+    det(Cartan) / |W|; ``check_raw`` tests a case against it."""
 
     constants: dict[tuple[str, int], Fraction] = field(default_factory=dict)
 
-    def register(self, rs: RootSystem, points, lam_labels, k: int, expected) -> Fraction:
-        raw, _ = raw_fibration_residue(points, rs, lam_labels, k)
-        if raw == 0:
-            raise InternalInconsistencyError("calibration case has zero raw residue")
-        c = Fraction(expected) / raw
-        self.constants[(rs.label, len(points[0].tangent_weights))] = c
-        return c
-
     def constant_for(self, rs: RootSystem, half_dim: int) -> Fraction:
+        _check_proven(rs)
         key = (rs.label, half_dim)
-        if key in self.constants:
-            return self.constants[key]
-        if rs.label == "A1" and half_dim >= 2:
-            # product of half_dim spheres; for half_dim = 3 this is the
-            # M0 = point case with Lambda = rho, k = 1
-            points = product_orbit_fixed_data(rs, [(1,)] * half_dim)
-            k = 1 if half_dim % 2 == 1 else 2
-            expected = tensor_multiplicity(rs, [(k,)] * half_dim, (k,))
-            return self.register(rs, points, (1,), k, expected)
-        raise InadmissibleInputError(
-            "no calibration case known for signature (%s, %d); register one" % key)
+        if key not in self.constants:
+            self.constants[key] = Fraction(mat_det(rs.cartan)) / len(enumerate_weyl_group(rs))
+        return self.constants[key]
 
     def check_raw(self, rs: RootSystem, half_dim: int, raw, expected) -> Fraction:
         """Recompute the implied constant from a raw residue with known
@@ -350,8 +347,8 @@ class CalibrationRegistry:
 def fibration_rr_residue(points, rs: RootSystem, lam_labels, k: int, *,
                          registry: CalibrationRegistry | None = None) -> Fraction:
     """Riemann-Roch number of the fibration by the residue route: the
-    calibrated constant times the iterated residue of the fixed-point
-    integrand.  Without a registry the constant is calibrated in a
+    constant det(Cartan) / |W| times the iterated residue of the
+    fixed-point integrand.  Without a registry the constant is frozen in a
     registry local to this call."""
     registry = registry if registry is not None else CalibrationRegistry()
     points = tuple(points)

@@ -173,7 +173,6 @@ class Cone:
     """The chamber {X : beta_i(X) > 0} cut out by sign-adjusted weights."""
 
     weights: tuple[LinearForm, ...]
-    flips: tuple[bool, ...]
     xi: Vec
 
     def contains(self, v: Vec) -> bool:
@@ -185,15 +184,13 @@ def build_cone(weights, xi) -> Cone:
     pairing (xi fails to be generic)."""
     xi = vec(xi)
     flipped = []
-    flips = []
     for w in weights:
         w = vec(w)
         val = sum(a * b for a, b in zip(w, xi))
         if val == 0:
             raise GenericityError("xi pairs to zero with weight %s" % (w,))
-        flips.append(val < 0)
         flipped.append(tuple(-c for c in w) if val < 0 else w)
-    return Cone(weights=tuple(flipped), flips=tuple(flips), xi=xi)
+    return Cone(weights=tuple(flipped), xi=xi)
 
 
 def _default_coords(cone: Cone, n: int) -> Mat:
@@ -259,6 +256,8 @@ def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
 
     Returns (value, attempts_used).
     """
+    if retries < 0:
+        raise ValueError("retry limit must be >= 0, got %d" % retries)
     if not terms:
         return Fraction(0), 0
     n = terms[0].num_vars

@@ -256,7 +256,3 @@ def weyl_act(w: WeylElement, v: Vec) -> Vec:
     if len(v) != len(w.matrix):
         raise ValueError("dimension mismatch")
     return w.act(vec(v))
-
-
-def longest_element(rs: RootSystem) -> WeylElement:
-    return max(enumerate_weyl_group(rs), key=lambda w: w.length)

@@ -366,23 +366,6 @@ class TruncatedSeries:
             parts.append(" * ".join(factors))
         return " + ".join(parts)
 
-    @classmethod
-    def from_text(cls, text: str, num_vars: int, trunc: int | None = None) -> "TruncatedSeries":
-        coeffs: dict[Monomial, Fraction] = {}
-        text = text.strip()
-        if text == "0":
-            return cls(num_vars, {}, trunc)
-        for term in text.split(" + "):
-            factors = term.split(" * ")
-            c = Fraction(factors[0])
-            mono = [0] * num_vars
-            for f in factors[1:]:
-                name, e = f.split("^")
-                mono[int(name[1:]) - 1] = int(e)
-            mono = tuple(mono)
-            coeffs[mono] = coeffs.get(mono, Fraction(0)) + c
-        return cls(num_vars, coeffs, trunc)
-
     def __repr__(self):
         cap = "" if self.trunc is None else " + O(deg %d)" % (self.trunc + 1)
         return "<series %s%s>" % (self.to_text(), cap)

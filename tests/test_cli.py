@@ -37,6 +37,9 @@ def test_fixture_loading():
     rs, points = load_fixed_points(str(fixture_path("su2_three_spheres.json")))
     assert rs.label == "A1" and len(points) == 8
     assert all(len(pt.tangent_weights) == 3 for pt in points)
+    rs3, points3 = load_fixed_points(str(fixture_path("su3_rho_pair.json")))
+    assert rs3.label == "A2" and len(points3) == 36
+    assert all(len(pt.tangent_weights) == 6 for pt in points3)
     rs2, oracle = load_base_oracle(str(fixture_path("su2_point_base.json")))
     assert rs2.label == "A1" and oracle.top_degree == 0
     problem = load_residue_problem(str(fixture_path("jk_chamber_problem.json")))
@@ -71,6 +74,9 @@ def test_symplectic_exponent_key_is_accepted_as_alias(tmp_path):
                                   "--k", "2"]),
     ("character_c3_111_t4.json", ["character", "--group", "C3", "--weight", "1,1,1",
                                   "--trunc", "4"]),
+    ("fibration_a2_rho_pair_k3.json", ["fibration", "--weight", "2,1", "--k", "3",
+                                       "--fixture", str(FIXTURES / "su3_rho_pair.json"),
+                                       "--route", "residue", "--oracle-factors", "1,1;1,1"]),
 ])
 def test_golden_outputs(capsys, golden, argv):
     code, out = run(capsys, *argv)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -5,7 +6,7 @@ import pytest
 
 from orbitrr.characters import orbit_volume, weyl_dim
 from orbitrr.errors import (CalibrationDriftError, ConfigurationError,
-                            DegenerateOrbitError, InadmissibleInputError,
+                            DegenerateOrbitError, GenericityError, InadmissibleInputError,
                             InternalInconsistencyError, SingularValueError)
 from orbitrr.localization import (BaseIntersectionOracle, CalibrationRegistry,
                                   FixedPointDatum, _fibration_terms, _generic_direction,
@@ -180,18 +181,24 @@ def test_calibration_drift_detection(a1):
         registry.check_raw(a1, 3, raw, 2)
 
 
-def test_calibration_signature_without_case_is_refused(a2):
+def test_calibration_signature_without_case_is_refused():
+    # the constant is derived only for the groups the route is proven on
     registry = CalibrationRegistry()
-    with pytest.raises(InadmissibleInputError):
-        registry.constant_for(a2, 5)
+    for label in ("B2", "G2"):
+        with pytest.raises(ConfigurationError, match="A1 and A2 only"):
+            registry.constant_for(build_root_system(label[0], int(label[1])), 5)
+    assert registry.constants == {}
 
 
-def test_registered_calibration_is_used(a1):
+def test_constant_is_det_cartan_over_weyl_order(a1, a2):
     registry = CalibrationRegistry()
-    points = product_orbit_fixed_data(a1, [(1,)] * 3)
-    c = registry.register(a1, points, (1,), 1, 2)
-    assert c == 1
-    assert registry.constant_for(a1, 3) == 1
+    for half_dim in (2, 3, 4, 5, 8):
+        assert registry.constant_for(a1, half_dim) == 1
+    for half_dim in (4, 6):
+        assert registry.constant_for(a2, half_dim) == F(1, 2)
+    # memoised as Fractions, which verify's report prints
+    assert len(registry.constants) == 7
+    assert all(type(c) is F for c in registry.constants.values())
 
 
 def test_symplectic_factor_scales_contributions(a1):
@@ -206,17 +213,59 @@ def test_symplectic_factor_scales_contributions(a1):
 
 def test_rank_two_constant_is_a_signature_invariant(a2):
     # two different products of A2 orbits share the (group, dimension)
-    # signature; the constant calibrated on one must transport to the other
+    # signature; both imply the derived constant det(Cartan) / |W| = 1/2
     registry = CalibrationRegistry()
     rho_pair = product_orbit_fixed_data(a2, [(1, 1), (1, 1)])
+    half_dim = len(rho_pair[0].tangent_weights)
     expected = tensor_multiplicity(a2, [(3, 3), (3, 3)], (6, 3))
-    c = registry.register(a2, rho_pair, (2, 1), 3, expected)
-    assert c == F(1, 2)
+    raw, _ = raw_fibration_residue(rho_pair, a2, (2, 1), 3)
+    assert registry.check_raw(a2, half_dim, raw, expected) == F(1, 2)
     mixed = product_orbit_fixed_data(a2, [(2, 1), (1, 2)])
+    assert len(mixed[0].tangent_weights) == half_dim
     oracle = tensor_multiplicity(a2, [(6, 3), (3, 6)], (3, 6))
     raw, _ = raw_fibration_residue(mixed, a2, (1, 2), 3)
-    registry.check_raw(a2, len(mixed[0].tangent_weights), raw, oracle)
+    registry.check_raw(a2, half_dim, raw, oracle)
     assert fibration_rr_residue(mixed, a2, (1, 2), 3, registry=registry) == oracle == 3
+
+
+def test_negative_reduced_dimension_is_refused(a2):
+    # 4 tangent weights - rank 2 - 3 positive roots < 0: the raw residue
+    # was 0 here, but the tensor oracle gives 1
+    points = product_orbit_fixed_data(a2, [(2, 0), (2, 0)])
+    assert tensor_multiplicity(a2, [(2, 0), (2, 0)], (2, 1)) == 1
+    with pytest.raises(SingularValueError, match="negative expected dimension -1"):
+        raw_fibration_residue(points, a2, (2, 1), 1)
+    with pytest.raises(SingularValueError):
+        fibration_rr_residue(points, a2, (2, 1), 3)
+
+
+# (seed, number of draws) of the A2 two-orbit sweep
+A2_SWEEP = (20270614, 40)
+
+
+def test_a2_two_orbit_sweep_matches_the_tensor_oracle(a2):
+    # seeded draws of a product of two A2 orbits, Lambda and k: each case
+    # gives the tensor oracle or a typed error, never a wrong number
+    seed, draws = A2_SWEEP
+    rng = random.Random(seed)
+    labels = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2)]
+    lambdas = [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2), (3, 2), (2, 3), (3, 3)]
+    registry = CalibrationRegistry()
+    values = 0
+    for _ in range(draws):
+        factors = [rng.choice(labels), rng.choice(labels)]
+        lam, k = rng.choice(lambdas), rng.randint(1, 3)
+        points = product_orbit_fixed_data(a2, factors)
+        oracle = tensor_multiplicity(a2, [tuple(k * c for c in f) for f in factors],
+                                     tuple(k * c for c in lam))
+        try:
+            value = fibration_rr_residue(points, a2, lam, k, registry=registry)
+        except (SingularValueError, InadmissibleInputError, GenericityError):
+            continue
+        assert value == oracle, (factors, lam, k)
+        values += 1
+    assert values >= 5
+    assert set(registry.constants.values()) == {F(1, 2)}
 
 
 def test_base_route_with_a_curve_oracle(a1):
@@ -367,6 +416,6 @@ def test_residue_route_refuses_unproven_groups(group, factors, lam, k):
         raw_fibration_residue(points, rs, lam, k)
     registry = CalibrationRegistry()
     with pytest.raises(ConfigurationError):
-        registry.register(rs, points, lam, k, 4)
+        registry.constant_for(rs, len(points[0].tangent_weights))
     with pytest.raises(ConfigurationError):
         fibration_rr_residue(points, rs, lam, k, registry=registry)

@@ -75,8 +75,9 @@ def test_canonical_term_form():
 
 def test_build_cone_examples():
     weights = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
-    assert build_cone(weights, (F(1), F(2))).flips == (False, False, False)
-    assert build_cone(weights, (F(-1), F(-2))).flips == (True, True, True)
+    assert build_cone(weights, (F(1), F(2))).weights == tuple(weights)
+    assert build_cone(weights, (F(-1), F(-2))).weights == tuple(
+        tuple(-c for c in w) for w in weights)
     with pytest.raises(GenericityError):
         build_cone(weights, (F(1), F(-1)))
 
@@ -86,6 +87,16 @@ def test_res_cone_one_variable_reduces():
     cone = build_cone([(F(1),)], (F(1),))
     value, attempts = res_cone([t], cone)
     assert value == 1 and attempts == 0
+
+
+def test_res_cone_refuses_a_negative_retry_limit():
+    # a negative limit would make no attempt at all; it is an input error,
+    # not an exhausted genericity search
+    t = simple_term((F(1),), [((F(1),), 1)])
+    cone = build_cone([(F(1),)], (F(1),))
+    with pytest.raises(ValueError, match="retry limit"):
+        res_cone([t], cone, retries=-1)
+    assert res_cone([t], cone, retries=0) == (1, 0)
 
 
 def test_res_cone_worked_examples():
