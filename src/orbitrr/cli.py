@@ -4,9 +4,9 @@ Every subcommand prints one canonical JSON document (sorted keys, no
 whitespace variance) to stdout, so identical configurations produce
 byte-identical reports.  Exact rationals are rendered as "p/q" strings.
 
-Exit codes: 0 success, 1 input or precondition error, 2 genericity
-retries exhausted, 3 internal inconsistency (failed exact division or
-calibration drift).
+Exit codes: 0 success, 1 input, usage or precondition error, 2 genericity
+retries exhausted (``jk-residue`` only), 3 internal inconsistency (a
+failed exact division or identity, or routes that disagree).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .characters import character_series, orbit_volume, weyl_dim
-from .errors import (ExactDivisionError, GenericityError, InternalInconsistencyError)
+from .errors import ExactDivisionError, GenericityError, InternalInconsistencyError
 from .jsonio import (canonical_json, fraction_to_str, load_base_oracle, load_fixed_points,
                      load_residue_problem, parse_weight_labels)
 from .localization import (CalibrationRegistry, fibration_rr_base, fibration_rr_residue,
@@ -32,9 +32,21 @@ EXIT_GENERICITY = 2
 EXIT_INTERNAL = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 1), not argparse's exit 2, which
+    is the genericity code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, "input error: %s\n" % message)
+
+
 def _default_seed() -> int:
     env = os.environ.get("ORBITRR_SEED")
-    return int(env) if env else DEFAULT_SEED
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError:
+        raise ValueError("ORBITRR_SEED must be an integer, got %r" % env) from None
 
 
 def _emit(doc: dict) -> None:
@@ -111,7 +123,7 @@ def _cmd_fibration(args) -> int:
         if base_rs.label != rs.label:
             raise ValueError("base fixture group %s does not match %s"
                              % (base_rs.label, rs.label))
-        doc["base"] = fraction_to_str(fibration_rr_base(oracle, rs, lam, args.k, args.trunc))
+        doc["base"] = fraction_to_str(fibration_rr_base(oracle, rs, lam, args.k))
     if args.route == "both":
         diff = Fraction(doc["residue"]) - Fraction(doc["base"])
         doc["difference"] = fraction_to_str(diff)
@@ -124,7 +136,7 @@ def _cmd_fibration(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(args.suite, seed=args.seed, retries=args.retries)
+    results = run_suite(args.suite, seed=args.seed)
     for r in results:
         sys.stderr.write(r.line() + "\n")
     doc = {
@@ -135,15 +147,11 @@ def _cmd_verify(args) -> int:
         "all_passed": all(r.passed for r in results),
     }
     _emit(doc)
-    if all(r.passed for r in results):
-        return 0
-    if any(r.error == "CalibrationDriftError" for r in results):
-        return EXIT_INTERNAL
-    return EXIT_INPUT
+    return 0 if doc["all_passed"] else EXIT_INPUT
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbitrr",
         description="Exact Riemann-Roch numbers of coadjoint orbits and "
                     "symplectic fibrations")
@@ -185,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", required=True, help="fixed-point data JSON")
     p.add_argument("--base-fixture", help="intersection oracle JSON (base route)")
     p.add_argument("--route", choices=("base", "residue", "both"), default="both")
-    p.add_argument("--trunc", type=int, default=None)
     p.add_argument("--oracle-factors", dest="oracle_factors",
                    help="semicolon-separated factor weights for the tensor "
                         "oracle value, e.g. '1;1;1' for a product of orbits")
@@ -193,18 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", _cmd_verify, help="run the acceptance suites")
     p.add_argument("--suite", default="all",
                    choices=("bwb", "identity", "residue", "fibration", "asymptotics", "all"))
-    p.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = _default_seed()
     try:
-        if getattr(args, "trunc", None) is not None and args.trunc < 0:
-            raise ValueError("truncation degree must be >= 0")
+        if args.seed is None:
+            args.seed = _default_seed()
         if getattr(args, "retries", 1) < 1:
             raise ValueError("retry limit must be >= 1")
         return args.fn(args)

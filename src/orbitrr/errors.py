@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: bad input / violated preconditions
 exit 1, exhausted genericity retries exit 2, internal inconsistencies
-(failed exact division, calibration drift) exit 3.
+(failed exact division, a failed exact identity) exit 3.
 """
 
 
@@ -41,6 +41,3 @@ class ExactDivisionError(ArithmeticError):
 class InternalInconsistencyError(ArithmeticError):
     """An identity that must hold exactly failed; indicates an arithmetic bug."""
 
-
-class CalibrationDriftError(InternalInconsistencyError):
-    """The frozen localization constant changed between test configurations."""

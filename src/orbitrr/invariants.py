@@ -11,10 +11,8 @@ expected dimension count as an independent check.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 from .errors import GeneratorDeficiencyError, InternalInconsistencyError
 from .linalg import Vec, rref, solve_exact
@@ -56,63 +54,40 @@ def molien_dimension(rs: RootSystem, degree: int) -> int:
 
 
 def _molien_counts(rs: RootSystem, upto: int) -> list[int]:
-    """Molien counts of degrees 0..upto in one integer pass: det(1 - t w)
-    once per element, one reciprocal series per distinct polynomial."""
+    """Molien counts of degrees 0..upto in one integer pass.  By Newton's
+    identity the coefficients of 1/det(1 - t w) obey
+    d h_d = sum_j tr(w^j) h_{d-j}, so the recursion runs once per distinct
+    sequence of power traces; the first rank traces fix det(1 - t w) and
+    with it the whole sequence, so they key the elements."""
     weyl = enumerate_weyl_group(rs)
+    classes: dict = {}
+    for w in weyl:
+        classes.setdefault(_power_traces(w.matrix, rs.rank), [w.matrix, 0])[1] += 1
     totals = [0] * (upto + 1)
-    for char, count in Counter(_det_one_minus_t(w.matrix) for w in weyl).items():
-        for d, c in enumerate(_reciprocal(char, upto)):
+    for m, count in classes.values():
+        traces = _power_traces(m, upto)
+        h = [1]
+        for d in range(1, upto + 1):
+            h.append(sum(traces[j - 1] * h[d - j] for j in range(1, d + 1)) // d)
+        for d, c in enumerate(h):
             totals[d] += count * c
     if any(t % len(weyl) for t in totals):
         raise InternalInconsistencyError("Molien series of %s is not integral" % rs.label)
     return [t // len(weyl) for t in totals]
 
 
-def _det_one_minus_t(m) -> tuple[int, ...]:
-    """Coefficients of det(1 - t M) for an integer matrix, by permutation
-    expansion."""
+def _power_traces(m, upto: int) -> tuple[int, ...]:
+    """tr(m^j) for j = 1..upto, each as sum_ik (m^(j-1))_ik m_ki, so the
+    power m^upto is never formed."""
     n = len(m)
-    coeffs = [0] * (n + 1)
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        # product of (delta_ij - t m[i][j]) entries
-        prod = [1]
-        for i in range(n):
-            entry0 = int(i == perm[i])
-            entry1 = -m[i][perm[i]]
-            nxt = [0] * (len(prod) + 1)
-            for e, c in enumerate(prod):
-                nxt[e] += c * entry0
-                nxt[e + 1] += c * entry1
-            prod = nxt
-        for e, c in enumerate(prod):
-            coeffs[e] += sign * c
-    return tuple(coeffs)
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _reciprocal(coeffs: tuple[int, ...], upto: int) -> list[int]:
-    """Coefficients of t^0..t^upto of 1/p(t), for an integer p with p(0) = 1."""
-    inv = [1] + [0] * upto
-    for d in range(1, upto + 1):
-        inv[d] = -sum(coeffs[j] * inv[d - j] for j in range(1, min(d, len(coeffs) - 1) + 1))
-    return inv
+    power = [[int(i == c) for c in range(n)] for i in range(n)]
+    traces = []
+    for j in range(upto):
+        if j:
+            power = m if j == 1 else [[sum(power[i][k] * m[k][c] for k in range(n))
+                                       for c in range(n)] for i in range(n)]
+        traces.append(sum(power[i][k] * m[k][i] for i in range(n) for k in range(n)))
+    return tuple(traces)
 
 
 def _span_dimension(polys: list[TruncatedSeries]) -> int:

@@ -17,7 +17,8 @@ Three routes live here, sharing only the root-system data:
   localization times the order of the centre, which acts trivially on
   every admissible configuration.  The route refuses reduced spaces of
   negative expected dimension, whose raw residue is 0 whatever the
-  true value is.
+  true value is, and a Lambda on a wall, where the residue fails or
+  averages two chambers into a non-integer.
 * ``fibration_rr_base``: the base-integral route, pairing the character
   class (expressed in invariant generators) against an intersection
   oracle for the reduced space at zero.
@@ -31,7 +32,7 @@ from itertools import product as iproduct
 from math import comb, factorial, prod
 
 from .characters import character_series, check_weight
-from .errors import (CalibrationDriftError, ConfigurationError, DegenerateOrbitError,
+from .errors import (ConfigurationError, DegenerateOrbitError, GenericityError,
                      InadmissibleInputError, InternalInconsistencyError, SingularValueError)
 from .invariants import express_invariant, fundamental_degrees
 from .linalg import Vec, mat_det, vec
@@ -194,16 +195,12 @@ def todd_restriction_identity(rs: RootSystem, w: WeylElement, trunc: int) -> boo
 PROVEN_GROUPS = ("A1", "A2")
 
 
-def _weight_in_root_lattice(rs: RootSystem, labels: Vec) -> bool:
-    return all(c.denominator == 1 for c in rs.weight_vector(labels))
-
-
 def _check_regularity(points, rs: RootSystem, lam_cov: Vec):
     """Zero must be a regular value of the shifted moment map.  An exact
     collision of a fixed-point moment value with a Weyl image of Lambda is
     fatal when that value is extreme in the moment image (rank-1 test);
-    interior coincidences merge into zero-phase terms that the residue
-    sign rule disposes of."""
+    other coincidences merge into zero-phase terms that the residue sign
+    rule disposes of, or, on a wall, that the residue route refuses."""
     orbit = {w.act(lam_cov) for w in enumerate_weyl_group(rs)}
     moments = [pt.moment for pt in points]
     collisions = [mu for mu in moments if mu in orbit]
@@ -297,14 +294,13 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> tuple[F
             "the reduced space has negative expected dimension %d" % reduced_dim)
     if not rs.is_regular(lam_labels):
         raise DegenerateOrbitError("Lambda lies on a Weyl wall")
-    scaled = tuple(k * c for c in lam_labels)
-    if any(c.denominator != 1 for c in scaled):
+    if any((k * c).denominator != 1 for c in lam_labels):
         raise InadmissibleInputError("k Lambda is not a weight")
     for pt in points:
         if any((k * c).denominator != 1 for c in pt.moment):
             raise InadmissibleInputError("k-scaled moment value %s is not a weight" % (pt.moment,))
         diff = tuple(k * (a - b) for a, b in zip(pt.moment, lam_labels))
-        if not _weight_in_root_lattice(rs, diff):
+        if any(c.denominator != 1 for c in rs.weight_vector(diff)):
             raise InadmissibleInputError(
                 "k(mu(F) - Lambda) is not in the root lattice at %s" % pt.label)
     _check_regularity(points, rs, lam_labels)
@@ -315,14 +311,19 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> tuple[F
     phases = [t.phase for t in terms if any(c != 0 for c in t.phase)]
     xi = _generic_direction(weights + phases, rs.rank)
     cone = build_cone(weights, vec(xi))
-    return res_cone(terms, cone)
+    try:
+        return res_cone(terms, cone)
+    except GenericityError as exc:
+        # xi is generic against every nonzero phase and proportional forms
+        # are merged, so only a phase on a wall can fail the residue
+        raise SingularValueError("Lambda lies on a wall of the moment image: %s" % exc) from exc
 
 
 @dataclass
 class CalibrationRegistry:
     """Frozen residue-theorem constants, one per (group label, half
     dimension of the manifold).  Each is derived from the root system as
-    det(Cartan) / |W|; ``check_raw`` tests a case against it."""
+    det(Cartan) / |W|."""
 
     constants: dict[tuple[str, int], Fraction] = field(default_factory=dict)
 
@@ -333,28 +334,22 @@ class CalibrationRegistry:
             self.constants[key] = Fraction(mat_det(rs.cartan)) / len(enumerate_weyl_group(rs))
         return self.constants[key]
 
-    def check_raw(self, rs: RootSystem, half_dim: int, raw, expected) -> Fraction:
-        """Recompute the implied constant from a raw residue with known
-        value and fail loudly if it drifted from the frozen one."""
-        frozen = self.constant_for(rs, half_dim)
-        if raw == 0 or Fraction(expected) / raw != frozen:
-            raise CalibrationDriftError(
-                "implied constant %s differs from frozen %s"
-                % ("undefined" if raw == 0 else Fraction(expected) / raw, frozen))
-        return frozen
-
 
 def fibration_rr_residue(points, rs: RootSystem, lam_labels, k: int, *,
                          registry: CalibrationRegistry | None = None) -> Fraction:
     """Riemann-Roch number of the fibration by the residue route: the
     constant det(Cartan) / |W| times the iterated residue of the
     fixed-point integrand.  Without a registry the constant is frozen in a
-    registry local to this call."""
+    registry local to this call.  A fraction, the average of the two
+    chambers that meet at a wall, is refused."""
     registry = registry if registry is not None else CalibrationRegistry()
     points = tuple(points)
     raw, _ = raw_fibration_residue(points, rs, lam_labels, k)
-    c = registry.constant_for(rs, len(points[0].tangent_weights))
-    return c * raw
+    value = registry.constant_for(rs, len(points[0].tangent_weights)) * raw
+    if value.denominator != 1:
+        raise SingularValueError(
+            "residue %s is not an integer: Lambda lies on a wall of the moment image" % value)
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -399,22 +394,18 @@ class BaseIntersectionOracle:
 
 
 def fibration_rr_base(oracle: BaseIntersectionOracle, rs: RootSystem, lam_labels,
-                      k: int, trunc: int | None = None) -> Fraction:
+                      k: int) -> Fraction:
     """Riemann-Roch number by the base route: expand the exponential of
     k times the symplectic class against the Todd class and the character
-    class written in the invariant generators, then apply the pairing."""
-    lam_labels = vec(lam_labels)
-    scaled = tuple(k * c for c in lam_labels)
-    scaled = check_weight(rs, scaled, dominant=True, integral=True)
+    class written in the invariant generators, then apply the pairing,
+    which vanishes off the oracle's top degree."""
+    scaled = check_weight(rs, tuple(k * c for c in vec(lam_labels)), dominant=True, integral=True)
     degs = fundamental_degrees(rs)
     if tuple(oracle.generator_degrees[1:]) != degs:
         raise ValueError("oracle generator degrees %s do not match the group's %s"
                          % (oracle.generator_degrees[1:], degs))
     cap = oracle.top_degree
-    if trunc is not None and trunc < cap:
-        raise ValueError("trunc %d is below the oracle's top degree %d" % (trunc, cap))
-    n_series = cap if trunc is None else trunc
-    s_series = character_series(rs, scaled, n_series)
+    s_series = character_series(rs, scaled, cap)
     nsym = 1 + len(degs)
     # terms above the top degree pair to zero, so the polynomials need no cap
     exp_w0 = TruncatedSeries(nsym, {(j,) + (0,) * len(degs): Fraction(k**j, factorial(j))

@@ -227,15 +227,14 @@ def _perturbed_coords(base: Mat, attempt: int, seed: int) -> Mat:
     keeping the last (cone) vector fixed: rotate among them and shear each
     by a small multiple of the cone vector."""
     n = len(base)
-    if n == 1 or attempt == 0:
+    if attempt == 0:
         return base
     rng = random.Random((seed * 1000003 + attempt) & 0x7FFFFFFF)
     cols = [tuple(base[i][j] for i in range(n)) for j in range(n)]
     head, xi_col = cols[:-1], cols[-1]
-    if n > 2:
-        rot = _rational_rotation(rng, n - 1)
-        head = [tuple(sum(rot[a][b] * head[b][i] for b in range(n - 1)) for i in range(n))
-                for a in range(n - 1)]
+    rot = _rational_rotation(rng, n - 1)
+    head = [tuple(sum(rot[a][b] * head[b][i] for b in range(n - 1)) for i in range(n))
+            for a in range(n - 1)]
     sheared = []
     for c in head:
         t = Fraction(rng.randrange(1, 12), rng.randrange(13, 29))
@@ -251,8 +250,9 @@ def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
     Applies the one-variable residue innermost in the last coordinate,
     then outward, and multiplies by the Jacobian |det coords| so the
     result does not depend on the admissible coordinate choice.  On a
-    genericity failure the first n-1 coordinate vectors are re-drawn
-    deterministically from the seed, up to `retries` times.
+    genericity failure in three or more variables the first n-1 coordinate
+    vectors are re-drawn deterministically from the seed, up to `retries`
+    times; in one or two variables the first failure is final.
 
     Returns (value, attempts_used).
     """
@@ -288,7 +288,10 @@ def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
             return total * abs(jac), attempt
         except (ConvergenceError, GenericityError) as exc:
             failure, tried = exc, attempt + 1
-            if n == 1:
+            # in 2 variables a new frame only shears along xi: the inner step
+            # pairs with xi, each outer coefficient is det(frame) det(g, b) /
+            # <b, xi>, so every sign and zero test is the same in every frame
+            if n < 3:
                 break
     raise GenericityError(
         "residue genericity exhausted after %d attempts: %s" % (tried, failure))

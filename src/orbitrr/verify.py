@@ -14,12 +14,11 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .characters import character_series, orbit_volume, weyl_dim
-from .errors import CalibrationDriftError
-from .localization import (BaseIntersectionOracle, CalibrationRegistry, fibration_rr_base,
-                           fibration_rr_residue, product_orbit_fixed_data, raw_fibration_residue,
-                           rr_leading_coefficient, rr_orbit_fixedpoint, todd_restriction_identity)
+from .localization import (BaseIntersectionOracle, fibration_rr_base, fibration_rr_residue,
+                           product_orbit_fixed_data, rr_leading_coefficient, rr_orbit_fixedpoint,
+                           todd_restriction_identity)
 from .multiplicities import tensor_multiplicity, weight_count_dimension
-from .residues import DEFAULT_RETRIES, DEFAULT_SEED, build_cone, make_term, res_cone
+from .residues import DEFAULT_SEED, build_cone, make_term, res_cone
 from .roots import build_root_system, enumerate_weyl_group
 from .series import TruncatedSeries, flag_integral, positive_root_product
 from .volumes import partition_fiber_volume
@@ -30,7 +29,6 @@ class CheckResult:
     check_id: str
     passed: bool
     detail: str
-    error: str | None = None
 
     def line(self) -> str:
         return "%s %s: %s" % ("PASS" if self.passed else "FAIL", self.check_id, self.detail)
@@ -40,7 +38,7 @@ def _sweep_weights(rank: int, max_label: int):
     return list(iproduct(range(max_label + 1), repeat=rank))
 
 
-def suite_bwb(seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) -> list[CheckResult]:
+def suite_bwb(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Criteria 1 and 2: fixed-point sums against the dimension formula and
     the weight-count oracle, and character constant terms."""
     out = []
@@ -75,7 +73,7 @@ def suite_bwb(seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) -> list[
     return out
 
 
-def suite_identity(seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) -> list[CheckResult]:
+def suite_identity(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Criteria 3 and 4: the per-element Todd-restriction identity and the
     flag fiber integral of the root product."""
     out = []
@@ -120,7 +118,7 @@ def _random_residue_problem(rng: random.Random):
         return weights, xi, p
 
 
-def suite_residue(seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) -> list[CheckResult]:
+def suite_residue(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Criterion 7: iterated residues against the simplicial chamber
     volume oracle on seeded random two-variable problems."""
     rng = random.Random(seed)
@@ -130,7 +128,7 @@ def suite_residue(seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) -> l
         term = make_term(2, TruncatedSeries.constant(1, 2), p,
                          [(w, 1) for w in weights])
         cone = build_cone(weights, xi)
-        value, _ = res_cone([term], cone, seed=seed + idx, retries=retries)
+        value, _ = res_cone([term], cone)
         oracle = partition_fiber_volume(weights, p)
         if value != oracle:
             bad.append((idx, weights, p, value, oracle))
@@ -151,20 +149,17 @@ def _su2_fibration_cases():
     ]
 
 
-def suite_fibration(seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) -> list[CheckResult]:
-    """Criteria 5 and 9: the end-to-end fibration family by both routes
-    against the tensor oracle, and that every case implies the derived
-    constant.  The residue route keeps res_cone's own seed and retry
-    limit."""
+def suite_fibration(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Criterion 5: the end-to-end fibration family by both routes against
+    the tensor oracle."""
     out = []
     rs = build_root_system("A", 1)
-    registry = CalibrationRegistry()
     point_oracle = BaseIntersectionOracle.point(rs)
 
     points3 = product_orbit_fixed_data(rs, [(1,), (1,), (1,)])
     bad = []
     for k in range(1, 7):
-        res = fibration_rr_residue(points3, rs, (1,), k, registry=registry)
+        res = fibration_rr_residue(points3, rs, (1,), k)
         base = fibration_rr_base(point_oracle, rs, (1,), k)
         oracle = tensor_multiplicity(rs, [(k,)] * 3, (k,))
         if not (res == base == oracle == k + 1):
@@ -174,7 +169,6 @@ def suite_fibration(seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) ->
         "residue = base = tensor oracle = k+1 for k = 1..6"
         if not bad else "mismatches: %s" % bad))
 
-    drift = None
     bad = []
     for name, factors, lam, ks in _su2_fibration_cases():
         points = product_orbit_fixed_data(rs, factors)
@@ -182,31 +176,18 @@ def suite_fibration(seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) ->
             expected = tensor_multiplicity(
                 rs, [tuple(k * c for c in f) for f in factors],
                 tuple(int(k * c) for c in lam))
-            # one raw residue serves both the value and the drift check
-            raw, _ = raw_fibration_residue(points, rs, lam, k)
-            half_dim = len(points[0].tangent_weights)
-            value = registry.constant_for(rs, half_dim) * raw
+            value = fibration_rr_residue(points, rs, lam, k)
             if value != expected:
                 bad.append((name, lam, k, value, expected))
-            try:
-                registry.check_raw(rs, half_dim, raw, expected)
-            except CalibrationDriftError as exc:
-                drift = str(exc)
     out.append(CheckResult(
         "fibration-oracle-consistency", not bad,
         "residue route matches the tensor oracle on %d SU(2) product cases"
         % sum(len(ks) for _, _, _, ks in _su2_fibration_cases())
         if not bad else "mismatches: %s" % bad[:3]))
-    out.append(CheckResult(
-        "calibration-stability", drift is None,
-        "constant %s unchanged across every fibration case"
-        % dict(registry.constants)
-        if drift is None else drift,
-        error=None if drift is None else "CalibrationDriftError"))
     return out
 
 
-def suite_asymptotics(seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) -> list[CheckResult]:
+def suite_asymptotics(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Criteria 6 and 8: leading coefficients against orbit volumes, and
     the polynomiality / degree-bound finite-difference checks."""
     out = []
@@ -242,11 +223,11 @@ def suite_asymptotics(seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) 
 
     rs = build_root_system("A", 1)
     point_oracle = BaseIntersectionOracle.point(rs)
-    vals = [fibration_rr_base(point_oracle, rs, (lam,), 1, trunc=1) for lam in range(1, 6)]
+    vals = [fibration_rr_base(point_oracle, rs, (lam,), 1) for lam in range(1, 6)]
     second = [vals[i] - 2 * vals[i + 1] + vals[i + 2] for i in range(len(vals) - 2)]
     out.append(CheckResult(
         "lambda-degree-bound", all(x == 0 for x in second),
-        "second finite difference in lambda vanishes at truncation 1"
+        "second finite difference in lambda vanishes"
         if all(x == 0 for x in second) else "second differences %s" % second))
     return out
 
@@ -260,14 +241,13 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED,
-              retries: int = DEFAULT_RETRIES) -> list[CheckResult]:
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     if name == "all":
         results = []
         for key in ("bwb", "identity", "residue", "fibration", "asymptotics"):
-            results.extend(SUITES[key](seed, retries))
+            results.extend(SUITES[key](seed))
         return results
     if name not in SUITES:
         raise ValueError("unknown suite %r (choose from %s, all)"
                          % (name, ", ".join(sorted(SUITES))))
-    return SUITES[name](seed, retries)
+    return SUITES[name](seed)

@@ -110,6 +110,28 @@ def test_exit_code_input_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["dim", "--group", "A1"],
+    ["dim", "--group", "A1", "--weight", "1", "--bogus"],
+    ["rr-orbit", "--group", "A1", "--weight", "1", "--k", "x"],
+])
+def test_usage_errors_are_input_errors(capsys, argv):
+    # argparse's own exit 2 would read as a genericity failure
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    assert "input error:" in captured.err
+
+
+def test_malformed_seed_variable_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("ORBITRR_SEED", "abc")
+    code = main(["dim", "--group", "A1", "--weight", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("input error:") and "ORBITRR_SEED" in captured.err
+
+
 def test_zero_denominator_weight_is_an_input_error(capsys):
     code = main(["dim", "--group", "A2", "--weight", "1/0,1"])
     captured = capsys.readouterr()
