@@ -209,8 +209,6 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
-        if getattr(args, "retries", 1) < 1:
-            raise ValueError("retry limit must be >= 1")
         return args.fn(args)
     except (InternalInconsistencyError, ExactDivisionError) as exc:
         sys.stderr.write("internal inconsistency: %s\n" % exc)

@@ -91,8 +91,9 @@ def _power_traces(m, upto: int) -> tuple[int, ...]:
 
 
 def _span_dimension(polys: list[TruncatedSeries]) -> int:
-    monos = sorted({m for p in polys for m in p.coeffs})
-    rows = [[p.coeffs.get(m, 0) for m in monos] for p in polys]
+    # scaling a row by its denominator keeps the rank: rows of numerators
+    monos = sorted({m for p in polys for m in p.nums})
+    rows = [[p.nums.get(m, 0) for m in monos] for p in polys]
     return len(rref(rows, len(monos))[1])
 
 
@@ -181,12 +182,12 @@ def express_invariant(rs: RootSystem, series: TruncatedSeries) -> dict[tuple[int
         if not products:
             raise GeneratorDeficiencyError(
                 "nonzero invariant component in degree %d but no generator products" % d)
-        monos = sorted({m for p in products.values() for m in p.coeffs}
-                       | set(component.coeffs))
         keys = sorted(products)
-        matrix = tuple(tuple(products[k].coeffs.get(m, Fraction(0)) for k in keys)
-                       for m in monos)
-        rhs = [tuple(component.coeffs.get(m, Fraction(0)) for m in monos)]
+        columns = [products[k].coeffs for k in keys]
+        target = component.coeffs
+        monos = sorted({m for c in columns for m in c} | set(target))
+        matrix = tuple(tuple(c.get(m, Fraction(0)) for c in columns) for m in monos)
+        rhs = [tuple(target.get(m, Fraction(0)) for m in monos)]
         sol = solve_exact(matrix, rhs)
         if sol is None:
             raise GeneratorDeficiencyError(

@@ -78,8 +78,11 @@ def _parse_monomial(mono) -> tuple[int, ...]:
     return tuple(mono)
 
 
-def _parse_table(rows) -> dict[tuple[int, ...], Fraction]:
-    return {_parse_monomial(mono): parse_fraction(c) for mono, c in rows}
+def _parse_table(rows, key: str) -> dict[tuple[int, ...], Fraction]:
+    table = {_parse_monomial(mono): parse_fraction(c) for mono, c in rows}
+    if len(table) < len(rows):
+        raise ValueError("a monomial is repeated in %r" % key)
+    return table
 
 
 def _parse_group(doc: dict) -> RootSystem:
@@ -146,8 +149,8 @@ def parse_base_oracle(doc: dict) -> tuple[RootSystem, BaseIntersectionOracle]:
         generator_names=tuple(str(n) for n, _ in generators),
         generator_degrees=tuple(_parse_int(d, "generator degree", 1) for _, d in generators),
         top_degree=_parse_int(doc["top_degree"], "top_degree", 0),
-        pairing=_parse_table(_pair_list(doc, "pairing")),
-        todd=_parse_table(_pair_list(doc, "todd")),
+        pairing=_parse_table(_pair_list(doc, "pairing"), "pairing"),
+        todd=_parse_table(_pair_list(doc, "todd"), "todd"),
     )
     return rs, oracle
 
@@ -167,7 +170,7 @@ def parse_residue_problem(doc: dict) -> dict:
         if not isinstance(t, dict):
             raise ValueError("term %d must be an object, not %r" % (len(terms), t))
         rows = _pair_list(t, "num") if "num" in t else [[[0] * num_vars, "1"]]
-        num = TruncatedSeries(num_vars, _parse_table(rows), None)
+        num = TruncatedSeries(num_vars, _parse_table(rows, "num"), None)
         phase = _parse_covector(t["phase"], num_vars, "phase")
         dens = [(_parse_covector(form, num_vars, "denominator"),
                  _parse_int(mult, "denominator multiplicity", 1))

@@ -36,7 +36,7 @@ from .errors import (ConfigurationError, DegenerateOrbitError, GenericityError,
                      InadmissibleInputError, InternalInconsistencyError, SingularValueError)
 from .invariants import express_invariant, fundamental_degrees
 from .linalg import Vec, mat_det, vec
-from .residues import build_cone, make_term, res_cone
+from .residues import RatExpTerm, build_cone, canonical_dens, res_cone
 from .roots import RootSystem, WeylElement, enumerate_weyl_group
 from .series import TruncatedSeries, positive_root_product
 
@@ -225,8 +225,9 @@ def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
     exponential sum sign(w) sum_u sign(u) e^{<u rho - w rho, X>}.  The
     nonzero contributions are summed per (phase, tangent-weight multiset),
     one term per sum; each orbit factor, Todd factor and product is built
-    once per distinct input.  All points have one dimension, so one
-    truncation degree serves them all."""
+    once per distinct input, and the canonical denominators once per
+    multiset, whose products absorb their scale.  All points have one
+    dimension, so one truncation degree serves them all."""
     l = rs.rank
     cap = len(points[0].tangent_weights) - l
     group = enumerate_weyl_group(rs)
@@ -237,19 +238,21 @@ def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
     w_lam = [w.act(lam_labels) for w in group]
     todd: dict = {}
     products: dict = {}
+    canon: dict = {}
     groups: dict = {}
     for pt in points:
         if pt.symplectic_factor == 0:
             continue
         tangent = tuple(sorted(pt.tangent_weights))
         if tangent not in products:
-            unit = TruncatedSeries.constant(1, l, cap)
+            canon[tangent], scale = canonical_dens([(t, 1) for t in tangent])
+            unit = TruncatedSeries.constant(1 / scale, l, cap)
             for t in tangent:
                 if t not in todd:
                     one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
                     todd[t] = TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
                 unit = unit * todd[t]
-            products[tangent] = [factor * unit for factor in orbit]
+            products[tangent] = [(factor * unit).as_polynomial() for factor in orbit]
         for i, product in enumerate(products[tangent]):
             # a group whose contributions cancel still yields a (zero) term,
             # so the generic direction keeps avoiding its phase
@@ -258,9 +261,8 @@ def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
             phase = tuple(k * (pm - wl) for pm, wl in zip(pt.moment, w_lam[i]))
             scalars = groups.setdefault((phase, tangent), {})
             scalars[i] = scalars.get(i, 0) + pt.symplectic_factor
-    return [make_term(l, sum((products[tangent][i] * c for i, c in scalars.items()),
-                             TruncatedSeries(l)),
-                      phase, [(t, 1) for t in tangent])
+    return [RatExpTerm(l, sum((products[tangent][i] * c for i, c in scalars.items()),
+                              TruncatedSeries(l)), vec(phase), canon[tangent])
             for (phase, tangent), scalars in groups.items()]
 
 

@@ -92,18 +92,22 @@ class RatExpTerm:
         return make_term(n, self.numerator.substitute_linear(matrix), pull(self.phase), dens)
 
 
-def make_term(num_vars: int, numerator: TruncatedSeries, phase, dens) -> RatExpTerm:
-    """Build a term in canonical form (normalized, merged denominators)."""
-    phase = vec(phase)
+def canonical_dens(dens) -> tuple[tuple[tuple[LinearForm, int], ...], Fraction]:
+    """The denominators prod form^mult in canonical form: merged primitive
+    forms, and the scalar s with prod form^mult = s prod canon^mult."""
     scale = Fraction(1)
     merged: dict[LinearForm, int] = {}
     for form, mult in dens:
         canon, scalar = primitive_covector(vec(form))
         scale *= scalar ** mult
         merged[canon] = merged.get(canon, 0) + mult
-    numerator = numerator.as_polynomial() * (1 / scale)
-    return RatExpTerm(num_vars, numerator,
-                      phase, tuple(sorted(merged.items())))
+    return tuple(sorted(merged.items())), scale
+
+
+def make_term(num_vars: int, numerator: TruncatedSeries, phase, dens) -> RatExpTerm:
+    """Build a term in canonical form (normalized, merged denominators)."""
+    dens, scale = canonical_dens(dens)
+    return RatExpTerm(num_vars, numerator.as_polynomial() * (1 / scale), vec(phase), dens)
 
 
 def merge_terms(terms: list[RatExpTerm]) -> list[RatExpTerm]:

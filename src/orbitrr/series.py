@@ -3,22 +3,26 @@ rationals.
 
 One class covers both: ``trunc=None`` means an honest polynomial (no
 degree cap, multiplication is exact), an integer ``trunc=N`` means a
-power series known modulo total degree > N.  Coefficients are stored in
-a dict keyed by exponent tuples; zero coefficients are never stored.
+power series known modulo total degree > N.  Coefficients are exact (no
+floats): integer numerators keyed by exponent tuples over one positive
+denominator, in lowest terms with no zero numerators, so equal series have
+equal fields; ``coeffs`` gives the rationals.  Internal results are built
+by the trusted constructor ``_of``, which only reduces to lowest terms.
 
 Sums of exponentials of linear forms, such as the alternating numerator
 and denominator of the Weyl character formula, are built in closed form
-by ``TruncatedSeries.exp_sum``, one coefficient at a time and in integers
-when the forms and weights are integral.
+by ``TruncatedSeries.exp_sum``, one coefficient at a time in integers
+over trunc!, which every a! with |a| <= trunc divides.
 
 There is one division, ``divide_exact``: the divisor may be a polynomial
 or a truncated series.  It is one long division under a local degree
 order, led by the divisor's lowest homogeneous part (degree dmin), as in
 Mora's normal form for power series; the quotient is truncated at
 min(num.trunc, den.trunc) - dmin, a polynomial only when both inputs are.
-``inverse`` is 1 divided by the series.  There is one change of
-variables, ``substitute_linear``, by Horner's rule over the variables
-that move.
+On the numerators, the only denominators a quotient gains are powers of
+the divisor's lead, kept as exponents.  ``inverse`` is 1 divided by the
+series.  There is one change of variables, ``substitute_linear``, by
+Horner's rule over the variables that move.
 
 The flag-variety fiber integral also lives here: it is a pure identity
 on antisymmetrized polynomials and is the self-check that exact division
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import ExactDivisionError, InternalInconsistencyError
 from .linalg import Mat, vec
@@ -49,11 +53,9 @@ def _min_trunc(a: int | None, b: int | None) -> int | None:
 class TruncatedSeries:
     """Exact sparse series/polynomial in ``num_vars`` variables."""
 
-    __slots__ = ("num_vars", "trunc", "coeffs")
+    __slots__ = ("num_vars", "trunc", "nums", "den")
 
     def __init__(self, num_vars: int, coeffs=None, trunc: int | None = None):
-        self.num_vars = num_vars
-        self.trunc = trunc
         clean: dict[Monomial, Fraction] = {}
         for mono, c in (coeffs or {}).items():
             c = Fraction(c)
@@ -64,14 +66,38 @@ class TruncatedSeries:
             if trunc is not None and sum(mono) > trunc:
                 continue
             clean[tuple(int(e) for e in mono)] = c
-        self.coeffs = clean
+        # over the lcm of reduced denominators the numerators are coprime to it
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.num_vars, self.trunc, self.den = num_vars, trunc, den
+        self.nums = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+
+    @classmethod
+    def _of(cls, num_vars: int, nums: dict, den: int, trunc: int | None) -> "TruncatedSeries":
+        """Trusted constructor: int numerators (zeros allowed) over a positive
+        den, monomials of the right arity inside trunc."""
+        nums = {m: c for m, c in nums.items() if c}
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {m: c // g for m, c in nums.items()}
+        out = object.__new__(cls)
+        out.num_vars, out.trunc, out.nums, out.den = num_vars, trunc, nums, den
+        return out
+
+    @property
+    def coeffs(self) -> dict[Monomial, Fraction]:
+        """The rational coefficients, as a new dict on every read."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.nums.items()}
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def constant(cls, value, num_vars: int, trunc: int | None = None) -> "TruncatedSeries":
-        return cls(num_vars, {(0,) * num_vars: Fraction(value)}, trunc)
+        value = Fraction(value)
+        nums = {(0,) * num_vars: value.numerator} if trunc is None or trunc >= 0 else {}
+        return cls._of(num_vars, nums, value.denominator, trunc)
 
     @classmethod
     def linear_form(cls, cov, trunc: int | None = None) -> "TruncatedSeries":
@@ -89,9 +115,10 @@ class TruncatedSeries:
         degree trunc.
 
         Built one coefficient at a time: the coefficient of X^a is
-        (sum_j c_j prod_i v_{j,i}^{a_i}) / prod_i a_i!.  The sum stays a
-        Python int while the v_j and c_j are ints; the division by a! is
-        its only Fraction step.
+        (sum_j c_j prod_i v_{j,i}^{a_i}) / prod_i a_i!.  With v_j = v'_j / q
+        and c_j = c'_j / r for integers q and r, the sum over the v'_j and
+        c'_j is an int, and every coefficient is an integer over
+        r q^trunc trunc!, which a! q^|a| divides.
         """
         terms = [(tuple(v), c) for v, c in terms]
         if not terms:
@@ -101,16 +128,19 @@ class TruncatedSeries:
             raise ValueError("exp_sum vectors differ in length")
         if trunc is None:
             raise ValueError("exp_sum needs a truncation degree")
-        columns = [[v[i] for v, _ in terms] for i in range(n)]
-        coeffs: dict[Monomial, Fraction] = {}
+        q = lcm(*(x.denominator for v, _ in terms for x in v))
+        r = lcm(*(c.denominator for _, c in terms))
+        columns = [[int(v[i] * q) for v, _ in terms] for i in range(n)]
+        top = factorial(max(trunc, 0))
+        nums: dict[Monomial, int] = {}
 
         def fill(prefix: Monomial, partial: list, left: int, denom: int) -> None:
-            # partial[j] = c_j * prod over the exponents in prefix of v_{j,i}^{a_i}
+            # partial[j] = c'_j * prod over the exponents in prefix of v'_{j,i}^{a_i}
             i = len(prefix)
             if i == n:
                 total = sum(partial)
                 if total:
-                    coeffs[prefix] = Fraction(total, denom)
+                    nums[prefix] = total * q**left * (top // denom)
                 return
             for a in range(left + 1):
                 if a:
@@ -118,8 +148,8 @@ class TruncatedSeries:
                     denom *= a
                 fill(prefix + (a,), partial, left - a, denom)
 
-        fill((), [c for _, c in terms], trunc, 1)
-        return cls(n, coeffs, trunc)
+        fill((), [int(c * r) for _, c in terms], trunc, 1)
+        return cls._of(n, nums, r * q**max(trunc, 0) * top, trunc)
 
     @classmethod
     def exp_linear(cls, cov, trunc: int) -> "TruncatedSeries":
@@ -133,29 +163,30 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (self.num_vars == other.num_vars and self.trunc == other.trunc
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.nums == other.nums)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * self.num_vars, Fraction(0))
+        return Fraction(self.nums.get((0,) * self.num_vars, 0), self.den)
 
     def max_degree(self) -> int:
-        return max((sum(m) for m in self.coeffs), default=0)
+        return max((sum(m) for m in self.nums), default=0)
 
     def min_degree(self) -> int:
-        return min((sum(m) for m in self.coeffs), default=0)
+        return min((sum(m) for m in self.nums), default=0)
 
     def homogeneous_part(self, degree: int) -> "TruncatedSeries":
-        part = {m: c for m, c in self.coeffs.items() if sum(m) == degree}
-        return TruncatedSeries(self.num_vars, part, self.trunc)
+        part = {m: c for m, c in self.nums.items() if sum(m) == degree}
+        return TruncatedSeries._of(self.num_vars, part, self.den, self.trunc)
 
     def truncate(self, trunc: int | None) -> "TruncatedSeries":
-        return TruncatedSeries(self.num_vars, self.coeffs, trunc)
+        kept = {m: c for m, c in self.nums.items() if trunc is None or sum(m) <= trunc}
+        return TruncatedSeries._of(self.num_vars, kept, self.den, trunc)
 
     def as_polynomial(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.num_vars, self.coeffs, None)
+        return TruncatedSeries._of(self.num_vars, self.nums, self.den, None)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -165,19 +196,22 @@ class TruncatedSeries:
             other = TruncatedSeries.constant(other, self.num_vars, self.trunc)
         if self.num_vars != other.num_vars:
             raise ValueError("variable count mismatch")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return TruncatedSeries(self.num_vars, out, _min_trunc(self.trunc, other.trunc))
+        trunc = _min_trunc(self.trunc, other.trunc)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        out = {m: c * sa for m, c in self.nums.items()}
+        for m, c in other.nums.items():
+            out[m] = out.get(m, 0) + c * sb
+        if trunc is not None and (self.trunc != trunc or other.trunc != trunc):
+            out = {m: c for m, c in out.items() if sum(m) <= trunc}
+        return TruncatedSeries._of(self.num_vars, out, den, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.num_vars, {m: -c for m, c in self.coeffs.items()}, self.trunc)
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(other, self.num_vars, self.trunc)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -185,21 +219,22 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return TruncatedSeries(self.num_vars, {m: c * v for m, v in self.coeffs.items()},
-                                   self.trunc)
+            p = other.numerator
+            return TruncatedSeries._of(self.num_vars, {m: c * p for m, c in self.nums.items()},
+                                       self.den * other.denominator, self.trunc)
         if self.num_vars != other.num_vars:
             raise ValueError("variable count mismatch")
         trunc = _min_trunc(self.trunc, other.trunc)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            d1 = sum(m1)
-            for m2, c2 in other.coeffs.items():
-                if trunc is not None and d1 + sum(m2) > trunc:
-                    continue
+        right = sorted((sum(m), m, c) for m, c in other.nums.items())
+        out: dict[Monomial, int] = {}
+        for m1, c1 in self.nums.items():
+            left = None if trunc is None else trunc - sum(m1)
+            for d2, m2, c2 in right:
+                if left is not None and d2 > left:
+                    break
                 m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return TruncatedSeries(self.num_vars, out, trunc)
+                out[m] = out.get(m, 0) + c1 * c2
+        return TruncatedSeries._of(self.num_vars, out, self.den * other.den, trunc)
 
     __rmul__ = __mul__
 
@@ -251,25 +286,29 @@ class TruncatedSeries:
         is truncated at min(self.trunc, den.trunc) - dmin and products
         past that cap are skipped.  A nonzero remainder (at any degree
         that the inputs determine) raises ExactDivisionError.
+
+        On the numerators, the divisor's over their content (signed to make
+        the lead numerator L positive): an entry (c, e) stands for c / L^e.
         """
         if den.is_zero():
             raise ExactDivisionError("division by zero polynomial")
         if self.num_vars != den.num_vars:
             raise ValueError("variable count mismatch")
         dmin = den.min_degree()
-        lead = max(m for m in den.coeffs if sum(m) == dmin)
-        lead_coeff = den.coeffs[lead]
-        rest = sorted((sum(m), m, c) for m, c in den.coeffs.items() if m != lead)
+        lead = max(m for m in den.nums if sum(m) == dmin)
+        content = gcd(*den.nums.values()) * (1 if den.nums[lead] > 0 else -1)
+        lead_num = den.nums[lead] // content
+        rest = sorted((sum(m), m, c // content) for m, c in den.nums.items() if m != lead)
         trunc = _min_trunc(self.trunc, den.trunc)
         cap = trunc if trunc is not None else self.max_degree()
-        rem = dict(self.coeffs)
+        rem = {m: (c, 0) for m, c in self.nums.items()}
         heap = [(sum(m), tuple(-e for e in m)) for m in rem]
         heapq.heapify(heap)
-        quot: dict[Monomial, Fraction] = {}
+        quot: dict[Monomial, tuple[int, int]] = {}
         while heap:
             deg, neg = heapq.heappop(heap)
             m = tuple(-e for e in neg)
-            c = rem.pop(m)
+            c, e = rem.pop(m)
             if not c:
                 continue
             if deg > cap:
@@ -281,36 +320,42 @@ class TruncatedSeries:
             mq = tuple(a - b for a, b in zip(m, lead))
             if min(mq, default=0) < 0:
                 raise ExactDivisionError("nonzero remainder in exact division")
-            cq = c / lead_coeff
-            quot[mq] = cq
+            if c % lead_num:
+                e += 1
+            else:
+                c //= lead_num
+            quot[mq] = (c, e)
             for dd, md, cd in rest:
                 if trunc is not None and deg - dmin + dd > trunc:
                     break
                 mm = tuple(a + b for a, b in zip(mq, md))
-                if mm in rem:
-                    rem[mm] -= cq * cd
-                else:
-                    rem[mm] = -cq * cd
-                    heapq.heappush(heap, (deg - dmin + dd, tuple(-e for e in mm)))
+                if mm not in rem:
+                    heapq.heappush(heap, (deg - dmin + dd, tuple(-x for x in mm)))
+                c2, e2 = rem.get(mm, (0, e))
+                e3 = max(e, e2)
+                rem[mm] = (c2 * lead_num ** (e3 - e2) - c * cd * lead_num ** (e3 - e), e3)
+        top = max((e for _, e in quot.values()), default=0)
+        # self / den = (den.den / (self.den content)) (sum_q c L^(top-e)) / L^top
+        scale = den.den if content > 0 else -den.den
+        nums = {mq: c * lead_num ** (top - e) * scale for mq, (c, e) in quot.items()}
         qtrunc = None if trunc is None else trunc - dmin
-        return TruncatedSeries(self.num_vars, quot, qtrunc)
+        return TruncatedSeries._of(self.num_vars, nums,
+                                   self.den * abs(content) * lead_num**top, qtrunc)
 
     # ------------------------------------------------------------------
     # calculus / substitution helpers
 
     def diff(self, var: int) -> "TruncatedSeries":
         out = {}
-        for m, c in self.coeffs.items():
-            if m[var] == 0:
-                continue
-            m2 = list(m)
-            m2[var] -= 1
-            out[tuple(m2)] = c * m[var]
+        for m, c in self.nums.items():
+            e = m[var]
+            if e:
+                out[m[:var] + (e - 1,) + m[var + 1:]] = c * e
         trunc = None if self.trunc is None else self.trunc - 1
-        return TruncatedSeries(self.num_vars, out, trunc)
+        return TruncatedSeries._of(self.num_vars, out, self.den, trunc)
 
     def degree_in(self, var: int) -> int:
-        return max((m[var] for m in self.coeffs), default=0)
+        return max((m[var] for m in self.nums), default=0)
 
     def substitute_linear(self, matrix: Mat) -> "TruncatedSeries":
         """Replace every x_k at once by the linear form sum_i matrix[k][i] x_i.
@@ -324,20 +369,26 @@ class TruncatedSeries:
         homogeneous of degree 1, so no product leaves the truncation.
         """
         n = self.num_vars
-        moved = [(k, [(i, a) for i, a in enumerate(matrix[k]) if a])
-                 for k in range(n)
+        moved = [k for k in range(n)
                  if any(a != int(i == k) for i, a in enumerate(matrix[k]))]
+        q = lcm(*(a.denominator for k in moved for a in matrix[k]))
+        todo = [(k, [(i, int(a * q)) for i, a in enumerate(matrix[k]) if a]) for k in moved]
+        # with x_k -> L_k / q, a monomial of moved degree d gains 1/q^d:
+        # scaled by q^(top - d), all share the one denominator q^top
+        degs = {m: sum(m[k] for k in moved) for m in self.nums}
+        top = max(degs.values(), default=0)
+        nums = {m: c * q ** (top - degs[m]) for m, c in self.nums.items()}
 
-        def horner(coeffs: dict[Monomial, Fraction], todo) -> dict[Monomial, Fraction]:
+        def horner(coeffs: dict[Monomial, int], todo) -> dict[Monomial, int]:
             if not todo:
                 return coeffs
             (k, form), rest = todo[0], todo[1:]
-            by_power: dict[int, dict[Monomial, Fraction]] = {}
+            by_power: dict[int, dict[Monomial, int]] = {}
             for m, c in coeffs.items():
                 by_power.setdefault(m[k], {})[m[:k] + (0,) + m[k + 1:]] = c
-            acc: dict[Monomial, Fraction] = {}
+            acc: dict[Monomial, int] = {}
             for e in range(max(by_power, default=0), -1, -1):
-                nxt: dict[Monomial, Fraction] = {}
+                nxt: dict[Monomial, int] = {}
                 for m, c in acc.items():
                     for i, a in form:
                         mm = m[:i] + (m[i] + 1,) + m[i + 1:]
@@ -348,18 +399,17 @@ class TruncatedSeries:
                 acc = nxt
             return acc
 
-        return TruncatedSeries(n, horner(self.coeffs, moved), self.trunc)
+        return TruncatedSeries._of(n, horner(nums, todo), self.den * q**top, self.trunc)
 
     # ------------------------------------------------------------------
     # canonical text form
 
     def to_text(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
-        for m in sorted(self.coeffs, key=lambda mo: (sum(mo), mo)):
-            c = self.coeffs[m]
-            factors = [str(c)]
+        for m in sorted(self.nums, key=lambda mo: (sum(mo), mo)):
+            factors = [str(Fraction(self.nums[m], self.den))]
             for i, e in enumerate(m):
                 if e:
                     factors.append("x%d^%d" % (i + 1, e))

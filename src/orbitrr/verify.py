@@ -38,7 +38,7 @@ def _sweep_weights(rank: int, max_label: int):
     return list(iproduct(range(max_label + 1), repeat=rank))
 
 
-def suite_bwb(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def suite_bwb() -> list[CheckResult]:
     """Criteria 1 and 2: fixed-point sums against the dimension formula and
     the weight-count oracle, and character constant terms."""
     out = []
@@ -73,7 +73,7 @@ def suite_bwb(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     return out
 
 
-def suite_identity(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def suite_identity() -> list[CheckResult]:
     """Criteria 3 and 4: the per-element Todd-restriction identity and the
     flag fiber integral of the root product."""
     out = []
@@ -149,7 +149,7 @@ def _su2_fibration_cases():
     ]
 
 
-def suite_fibration(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def suite_fibration() -> list[CheckResult]:
     """Criterion 5: the end-to-end fibration family by both routes against
     the tensor oracle."""
     out = []
@@ -187,7 +187,7 @@ def suite_fibration(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     return out
 
 
-def suite_asymptotics(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def suite_asymptotics() -> list[CheckResult]:
     """Criteria 6 and 8: leading coefficients against orbit volumes, and
     the polynomiality / degree-bound finite-difference checks."""
     out = []
@@ -242,12 +242,10 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """One suite, or every suite in order; only the residue suite is seeded."""
     if name == "all":
-        results = []
-        for key in ("bwb", "identity", "residue", "fibration", "asymptotics"):
-            results.extend(SUITES[key](seed))
-        return results
+        return [r for key in SUITES for r in run_suite(key, seed)]
     if name not in SUITES:
         raise ValueError("unknown suite %r (choose from %s, all)"
                          % (name, ", ".join(sorted(SUITES))))
-    return SUITES[name](seed)
+    return suite_residue(seed) if name == "residue" else SUITES[name]()

@@ -22,22 +22,22 @@ def _assert_all(results, budget=None, elapsed=None):
 
 def test_criterion_1_and_2_borel_weil_bott_and_character_constants():
     t0 = time.time()
-    results = suite_bwb(DEFAULT_SEED)
+    results = suite_bwb()
     _assert_all(results, budget=60, elapsed=time.time() - t0)
 
 
 def test_criterion_3_and_4_identity_suite():
-    _assert_all(suite_identity(DEFAULT_SEED))
+    _assert_all(suite_identity())
 
 
 def test_criterion_5_fibration_end_to_end():
     t0 = time.time()
-    results = suite_fibration(DEFAULT_SEED)
+    results = suite_fibration()
     _assert_all(results, budget=30, elapsed=time.time() - t0)
 
 
 def test_criterion_6_and_8_asymptotics_and_degree_bounds():
-    _assert_all(suite_asymptotics(DEFAULT_SEED))
+    _assert_all(suite_asymptotics())
 
 
 def test_criterion_7_residue_vs_chamber_volume():

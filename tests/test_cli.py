@@ -84,6 +84,17 @@ def test_golden_outputs(capsys, golden, argv):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_jk_residue_retry_limit(capsys):
+    # a limit of 0 is one attempt in the given frame; a negative one is an input error
+    argv = ["jk-residue", "--input", str(FIXTURES / "jk_chamber_problem.json"), "--retries"]
+    code, out = run(capsys, *argv, "0")
+    assert code == 0 and out == (GOLDEN / "jk_chamber.json").read_text()
+    code = main(argv + ["-1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("input error:") and "retry limit" in captured.err
+
+
 def test_reports_are_byte_identical_across_runs(capsys):
     argv = ["fibration", "--weight", "1", "--k", "2",
             "--fixture", str(FIXTURES / "su2_three_spheres.json"),
@@ -256,6 +267,10 @@ def _base_oracle(**changes):
      "nonnegative"),
     ("base", _base_oracle(todd=[[[0, 0], "1"], [[0, -1], "1"]]), "nonnegative"),
     ("base", _base_oracle(pairing=[[[0, 0], "1"], [[2, -1], "1"]]), "nonnegative"),
+    ("jk-residue", _residue_problem(term={"num": [[[0, 0], "1"], [[0, 0], "2"]]}),
+     "repeated in 'num'"),
+    ("base", _base_oracle(pairing=[[[0, 0], "1"], [[0, 0], "5"]]), "repeated in 'pairing'"),
+    ("base", _base_oracle(todd=[[[0, 0], "1"], [[0, 0], "1"]]), "repeated in 'todd'"),
 ], ids=["scalar-moment", "top-level-list", "short-phase", "non-spanning-denominators",
         "non-object-fixed-point", "number-fixed-points", "string-fixed-points",
         "number-group", "number-terms", "number-term", "number-dens", "number-num",
@@ -263,7 +278,8 @@ def _base_oracle(**changes):
         "number-generators", "number-pairing", "null-top-degree", "long-pairing-monomial",
         "short-todd-monomial", "zero-denominator-moment", "zero-denominator-xi",
         "singular-coords", "negative-num-exponent", "negative-todd-exponent",
-        "negative-pairing-exponent"])
+        "negative-pairing-exponent", "repeated-num-monomial", "repeated-pairing-monomial",
+        "repeated-todd-monomial"])
 def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc, fragment):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -409,6 +409,55 @@ def test_grouped_assembly_matches_the_literal_one(group, factors, symplectic, la
     assert res_cone(reference, cone) == raw_fibration_residue(points, rs, lam, k)
 
 
+def _terms_by_make_term(points, rs, lam, k):
+    """The grouped assembly with make_term applied to each group's sum, so
+    the denominators are canonicalised, and their scale folded in, once
+    per (phase, tangent-weight multiset) group."""
+    l = rs.rank
+    cap = len(points[0].tangent_weights) - l
+    group = enumerate_weyl_group(rs)
+    products = {}
+    groups = {}
+    for pt in points:
+        tangent = tuple(sorted(pt.tangent_weights))
+        if tangent not in products:
+            unit = TruncatedSeries.constant(1, l, cap)
+            for t in tangent:
+                one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
+                unit = unit * TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
+            products[tangent] = []
+            for w in group:
+                orbit_factor = TruncatedSeries.constant(1, l, cap)
+                for g in rs.positive_roots:
+                    orbit_factor = orbit_factor * (
+                        1 - TruncatedSeries.exp_linear(tuple(-c for c in w.act(g)), cap))
+                products[tangent].append(orbit_factor * unit)
+        for i, w in enumerate(group):
+            if not products[tangent][i].is_zero():
+                phase = tuple(k * (m - x) for m, x in zip(pt.moment, w.act(lam)))
+                scalars = groups.setdefault((phase, tangent), {})
+                scalars[i] = scalars.get(i, 0) + pt.symplectic_factor
+    return [make_term(l, sum((products[tangent][i] * c for i, c in scalars.items()),
+                             TruncatedSeries(l)), phase, [(t, 1) for t in tangent])
+            for (phase, tangent), scalars in groups.items()]
+
+
+@pytest.mark.parametrize("group,factors,symplectic,lam,k", [
+    ("A1", [(1,), (3,), (2,), (1,)], (F(1), F(2), F(-1, 3)), (3,), 2),
+    ("A2", [(2, 1), (1, 2)], None, (1, 2), 3),
+], ids=["a1-1321-symplectic-factors", "a2-21x12"])
+def test_denominators_canonicalised_once_per_tangent_multiset(group, factors, symplectic,
+                                                              lam, k):
+    rs = build_root_system(group[0], int(group[1]))
+    points = product_orbit_fixed_data(rs, factors)
+    if symplectic is not None:
+        points = _with_factors(points, symplectic)
+    lam = tuple(F(c) for c in lam)
+    terms = _fibration_terms(points, rs, lam, k)
+    assert len({tuple(sorted(pt.tangent_weights)) for pt in points}) < len(terms)
+    assert terms == _terms_by_make_term(points, rs, lam, k)
+
+
 def test_residue_route_without_a_registry_calibrates_in_each_call(a1):
     points = product_orbit_fixed_data(a1, [(1,)] * 3)
     for k in (3, 2):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import factorial, gcd
 
 import pytest
 
@@ -405,3 +406,112 @@ def test_substitute_linear_matches_the_monomial_expansion(num_vars, trunc):
             moved = p.substitute_linear(matrix)
             assert moved == _monomial_substitution(p, matrix), (p, matrix)
         assert p.substitute_linear(identity) == p
+
+
+# dict-of-Fraction reference arithmetic for the integer core
+
+def _ref_clean(coeffs, trunc):
+    return {m: c for m, c in coeffs.items() if c and (trunc is None or sum(m) <= trunc)}
+
+
+def _ref_add(a, b, trunc):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, F(0)) + c
+    return _ref_clean(out, trunc)
+
+
+def _ref_mul(a, b, trunc):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, F(0)) + c1 * c2
+    return _ref_clean(out, trunc)
+
+
+def _ref_substitute(a, matrix, trunc):
+    n = len(matrix)
+    out = {}
+    for mono, c in a.items():
+        term = {(0,) * n: c}
+        for k, e in enumerate(mono):
+            form = {tuple(int(i == j) for j in range(n)): F(x)
+                    for i, x in enumerate(matrix[k]) if x}
+            for _ in range(e):
+                term = _ref_mul(term, form, None)
+        out = _ref_add(out, term, None)
+    return _ref_clean(out, trunc)
+
+
+def _ref_exp(a, num_vars, trunc):
+    out = power = {(0,) * num_vars: F(1)}
+    for k in range(1, trunc + 1):
+        power = _ref_mul(power, a, trunc)
+        out = _ref_add(out, {m: c / factorial(k) for m, c in power.items()}, trunc)
+    return out
+
+
+def _ref_inverse(a, num_vars, trunc):
+    # 1/a = (1/c) sum_k t^k with t = 1 - a/c
+    zero = (0,) * num_vars
+    c = a[zero]
+    t = {m: -v / c for m, v in a.items() if m != zero}
+    out = power = {zero: F(1)}
+    for _ in range(trunc):
+        power = _ref_mul(power, t, trunc)
+        out = _ref_add(out, power, trunc)
+    return {m: v / c for m, v in out.items()}
+
+
+def _assert_canonical(s, expect):
+    assert s.den > 0 and all(s.nums.values())
+    assert gcd(s.den, *s.nums.values()) == 1
+    assert s.nums or s.den == 1
+    assert s.coeffs == expect
+
+
+def _rational_series(rng, num_vars, trunc, low=0, size=5):
+    coeffs = {}
+    for _ in range(size):
+        mono = tuple(rng.randint(0, 3) for _ in range(num_vars))
+        if sum(mono) >= low:
+            coeffs[mono] = F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6, 9]))
+    return S(num_vars, coeffs, trunc)
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+def test_integer_core_matches_the_fraction_reference(num_vars):
+    rng = random.Random(700 + num_vars)
+    entries = [0, 0, 1, -1, 2, F(1, 2), F(-2, 3), F(5, 4)]
+    for _ in range(25):
+        ta, tb = rng.choice([None, 2, 4, 6]), rng.choice([None, 3, 6])
+        a, b = _rational_series(rng, num_vars, ta), _rational_series(rng, num_vars, tb)
+        trunc = min((t for t in (ta, tb) if t is not None), default=None)
+        _assert_canonical(a + b, _ref_add(a.coeffs, b.coeffs, trunc))
+        _assert_canonical(a - b, _ref_add(a.coeffs, {m: -c for m, c in b.coeffs.items()},
+                                          trunc))
+        _assert_canonical(a - a, {})
+        _assert_canonical(a * b, _ref_mul(a.coeffs, b.coeffs, trunc))
+        scalar = F(rng.choice([-5, 2, 7]), rng.choice([3, 4, 6]))
+        _assert_canonical(a * scalar, {m: c * scalar for m, c in a.coeffs.items()})
+        _assert_canonical(a * 0, {})
+        var = rng.randrange(num_vars)
+        _assert_canonical(a.diff(var), _ref_clean(
+            {m[:var] + (m[var] - 1,) + m[var + 1:]: c * m[var] for m, c in a.coeffs.items()},
+            None if ta is None else ta - 1))
+        matrix = tuple(tuple(rng.choice(entries) for _ in range(num_vars))
+                       for _ in range(num_vars))
+        _assert_canonical(a.substitute_linear(matrix), _ref_substitute(a.coeffs, matrix, ta))
+        # exact quotients, by a polynomial and by a truncated divisor
+        den = _rational_series(rng, num_vars, None, size=3) + scalar
+        q = _rational_series(rng, num_vars, None, size=3)
+        num = q * den
+        _assert_canonical(num.divide_exact(den), q.coeffs)
+        cut = rng.randint(0, 5)
+        expect = _divide_by_degrees(num, den.truncate(cut))
+        _assert_canonical(num.divide_exact(den.truncate(cut)), expect.coeffs)
+        series = _rational_series(rng, num_vars, 5, low=1) + scalar
+        _assert_canonical(series.inverse(), _ref_inverse(series.coeffs, num_vars, 5))
+        small = _rational_series(rng, num_vars, 4, low=1)
+        _assert_canonical(small.exp(), _ref_exp(small.coeffs, num_vars, 4))
