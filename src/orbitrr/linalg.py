@@ -7,7 +7,7 @@ frozen dataclasses and be hashed/cached.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -129,21 +129,16 @@ def kernel_basis(a: Mat) -> list[Vec]:
     return basis
 
 
-def primitive_covector(form: Vec) -> tuple[Vec, Fraction]:
-    """Scale a nonzero rational covector to coprime integers with positive
-    leading entry. Returns (canonical form, scalar) with form = scalar·canonical.
+def primitive_covector(form) -> tuple[tuple[int, ...], Fraction]:
+    """Scale a nonzero covector of ints or Fractions to coprime integers with
+    positive leading entry. Returns (canonical int form, scalar) with
+    form = scalar·canonical.
     """
-    denom_lcm = 1
-    for e in form:
-        denom_lcm = denom_lcm * e.denominator // gcd(denom_lcm, e.denominator)
+    denom_lcm = lcm(*(e.denominator for e in form))
     ints = [int(e * denom_lcm) for e in form]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero covector has no canonical form")
-    lead = next(x for x in ints if x != 0)
-    sign = 1 if lead > 0 else -1
-    canon = tuple(Fraction(sign * x, g) for x in ints)
-    scalar = Fraction(sign * g, denom_lcm)
-    return canon, scalar
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints), Fraction(g, denom_lcm)

@@ -8,17 +8,19 @@ Three routes live here, sharing only the root-system data:
   must vanish, or the sum has a pole at u = 1.
 * ``fibration_rr_residue``: the iterated-residue route for a fibration
   with fiber a coadjoint orbit, for A1 and A2 (the groups the tensor
-  oracle proves).  Its Todd factors are t / (1 - e^{-t}),
-  one exact division each, and the residues pull terms back by linear
-  changes of variables.  The integrand sums the contributions of
-  the (fixed point, Weyl element) pairs per (phase, tangent-weight
-  multiset), one term per sum.  The constant of the residue theorem is
-  derived, not fitted: det(Cartan) / |W|, the 1/|W| of nonabelian
-  localization times the order of the centre, which acts trivially on
-  every admissible configuration.  The route refuses reduced spaces of
-  negative expected dimension, whose raw residue is 0 whatever the
-  true value is, and a Lambda on a wall, where the residue fails or
-  averages two chambers into a non-integer.
+  oracle proves).  Its Todd factors are t / (1 - e^{-t}), one exact
+  division each, and the residues pull terms back by linear changes of
+  variables.  The fixed points are folded by (moment, tangent-weight
+  multiset), so checks, phases and cone run once per key, in integer
+  Dynkin labels; the integrand sums the (key, Weyl element)
+  contributions per (phase, multiset).  The constant of the residue
+  theorem is derived, not fitted: det(Cartan) / |W|, the 1/|W| of
+  nonabelian localization times the order of the centre, which acts
+  trivially on every admissible configuration.  The route refuses
+  reduced spaces of negative expected dimension, whose raw residue is 0
+  whatever the true value is, a non-dominant Lambda, and a Lambda on a
+  wall, where the residue fails or averages two chambers into a
+  non-integer.
 * ``fibration_rr_base``: the base-integral route, pairing the character
   class (expressed in invariant generators) against an intersection
   oracle for the reduced space at zero.
@@ -54,9 +56,13 @@ class FixedPointDatum:
     symplectic_factor: Fraction = Fraction(1)
 
     def __post_init__(self):
-        for w in self.tangent_weights:
-            if all(c == 0 for c in w):
-                raise ValueError("tangent weights must be nonzero (isolated fixed points)")
+        if not all(map(any, self.tangent_weights)):
+            raise ValueError("tangent weights must be nonzero (isolated fixed points)")
+
+
+def _as_ints(v) -> tuple:
+    """The entries of v, each an int when integral and a Fraction otherwise."""
+    return tuple(int(c) if c.denominator == 1 else c for c in v)
 
 
 def product_orbit_fixed_data(rs: RootSystem, factor_labels) -> tuple[FixedPointDatum, ...]:
@@ -69,20 +75,20 @@ def product_orbit_fixed_data(rs: RootSystem, factor_labels) -> tuple[FixedPointD
     group = enumerate_weyl_group(rs)
     factors = []
     for labels in factor_labels:
-        mu = vec(labels)
+        mu = _as_ints(vec(labels))
         roots = [g for g in rs.positive_roots if rs.pairing(g, mu) > 0]
         fixed: dict = {}
         for w in group:
             img = w.act(mu)
             if img not in fixed:
-                fixed[img] = tuple(w.act(g) for g in roots)
-        factors.append(fixed.items())
+                fixed[img] = (",".join(str(c) for c in img), tuple(w.act(g) for g in roots))
+        factors.append([(img, text, tangent) for img, (text, tangent) in fixed.items()])
     data = []
     for combo in iproduct(*factors):
-        moment = tuple(sum(pt[0][i] for pt in combo) for i in range(rs.rank))
-        tangent = tuple(w for pt in combo for w in pt[1])
-        label = "x".join(",".join(str(c) for c in pt[0]) for pt in combo)
-        data.append(FixedPointDatum(label=label, moment=moment, tangent_weights=tangent))
+        data.append(FixedPointDatum(
+            label="x".join(text for _, text, _ in combo),
+            moment=vec(sum(img[i] for img, _, _ in combo) for i in range(rs.rank)),
+            tangent_weights=tuple(w for _, _, tangent in combo for w in tangent)))
     return tuple(data)
 
 
@@ -195,14 +201,13 @@ def todd_restriction_identity(rs: RootSystem, w: WeylElement, trunc: int) -> boo
 PROVEN_GROUPS = ("A1", "A2")
 
 
-def _check_regularity(points, rs: RootSystem, lam_cov: Vec):
+def _check_regularity(moments, rs: RootSystem, lam_cov: Vec):
     """Zero must be a regular value of the shifted moment map.  An exact
     collision of a fixed-point moment value with a Weyl image of Lambda is
     fatal when that value is extreme in the moment image (rank-1 test);
     other coincidences merge into zero-phase terms that the residue sign
     rule disposes of, or, on a wall, that the residue route refuses."""
     orbit = {w.act(lam_cov) for w in enumerate_weyl_group(rs)}
-    moments = [pt.moment for pt in points]
     collisions = [mu for mu in moments if mu in orbit]
     if not collisions:
         return
@@ -214,6 +219,21 @@ def _check_regularity(points, rs: RootSystem, lam_cov: Vec):
     raise SingularValueError(
         "fixed-point moment value coincides with a Weyl image of Lambda "
         "on the boundary of the moment image")
+
+
+def _fold(points) -> dict:
+    """(moment, sorted tangent weights), ints where integral -> [first point
+    with that key, sum of its nonzero symplectic factors].  The sum is None
+    when every factor is 0: those points add no term, while factors that
+    cancel still add (zero) terms."""
+    folded: dict = {}
+    for pt in points:
+        entry = folded.setdefault((pt.moment, tuple(sorted(pt.tangent_weights))), [pt, None])
+        factor = pt.symplectic_factor
+        if factor:
+            entry[1] = (entry[1] or 0) + (int(factor) if factor.denominator == 1 else factor)
+    return {(_as_ints(moment), tuple(map(_as_ints, tangent))): entry
+            for (moment, tangent), entry in folded.items()}
 
 
 def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
@@ -228,22 +248,26 @@ def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
     once per distinct input, and the canonical denominators once per
     multiset, whose products absorb their scale.  All points have one
     dimension, so one truncation degree serves them all."""
+    return _folded_terms(_fold(points), rs, _as_ints(vec(lam_labels)), k)
+
+
+def _folded_terms(folded: dict, rs: RootSystem, lam: Vec, k: int):
+    """_fibration_terms on folded points, one phase loop per key."""
     l = rs.rank
-    cap = len(points[0].tangent_weights) - l
+    cap = len(next(iter(folded))[1]) - l
     group = enumerate_weyl_group(rs)
     rho_images = [(w.act(rs.rho), w.sign) for w in group]
     orbit = [TruncatedSeries.exp_sum([(tuple(a - b for a, b in zip(u_rho, w_rho)), w_sign * u_sign)
                                       for u_rho, u_sign in rho_images], cap)
              for w_rho, w_sign in rho_images]
-    w_lam = [w.act(lam_labels) for w in group]
+    kw_lam = [_as_ints(k * c for c in w.act(lam)) for w in group]
     todd: dict = {}
     products: dict = {}
     canon: dict = {}
     groups: dict = {}
-    for pt in points:
-        if pt.symplectic_factor == 0:
+    for (moment, tangent), (_, factor) in folded.items():
+        if factor is None:
             continue
-        tangent = tuple(sorted(pt.tangent_weights))
         if tangent not in products:
             canon[tangent], scale = canonical_dens([(t, 1) for t in tangent])
             unit = TruncatedSeries.constant(1 / scale, l, cap)
@@ -252,17 +276,18 @@ def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
                     one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
                     todd[t] = TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
                 unit = unit * todd[t]
-            products[tangent] = [(factor * unit).as_polynomial() for factor in orbit]
+            products[tangent] = [(orbit_factor * unit).as_polynomial() for orbit_factor in orbit]
+        k_moment = _as_ints(k * c for c in moment)
         for i, product in enumerate(products[tangent]):
             # a group whose contributions cancel still yields a (zero) term,
             # so the generic direction keeps avoiding its phase
             if product.is_zero():
                 continue
-            phase = tuple(k * (pm - wl) for pm, wl in zip(pt.moment, w_lam[i]))
+            phase = tuple(a - b for a, b in zip(k_moment, kw_lam[i]))
             scalars = groups.setdefault((phase, tangent), {})
-            scalars[i] = scalars.get(i, 0) + pt.symplectic_factor
+            scalars[i] = scalars.get(i, 0) + factor
     return [RatExpTerm(l, sum((products[tangent][i] * c for i, c in scalars.items()),
-                              TruncatedSeries(l)), vec(phase), canon[tangent])
+                              TruncatedSeries(l)), phase, canon[tangent])
             for (phase, tangent), scalars in groups.items()]
 
 
@@ -296,23 +321,30 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> tuple[F
             "the reduced space has negative expected dimension %d" % reduced_dim)
     if not rs.is_regular(lam_labels):
         raise DegenerateOrbitError("Lambda lies on a Weyl wall")
+    # at a non-dominant Lambda the residue is not the Riemann-Roch number
+    check_weight(rs, lam_labels, dominant=True)
     if any((k * c).denominator != 1 for c in lam_labels):
         raise InadmissibleInputError("k Lambda is not a weight")
-    for pt in points:
-        if any((k * c).denominator != 1 for c in pt.moment):
+    lam = _as_ints(lam_labels)
+    folded = _fold(points)
+    # each check once per distinct moment, naming its first point
+    firsts: dict = {}
+    for (moment, _), (pt, _) in folded.items():
+        firsts.setdefault(moment, pt)
+    for moment, pt in firsts.items():
+        if any((k * c).denominator != 1 for c in moment):
             raise InadmissibleInputError("k-scaled moment value %s is not a weight" % (pt.moment,))
-        diff = tuple(k * (a - b) for a, b in zip(pt.moment, lam_labels))
+        diff = tuple(k * (a - b) for a, b in zip(moment, lam))
         if any(c.denominator != 1 for c in rs.weight_vector(diff)):
             raise InadmissibleInputError(
                 "k(mu(F) - Lambda) is not in the root lattice at %s" % pt.label)
-    _check_regularity(points, rs, lam_labels)
+    _check_regularity(firsts, rs, lam)
 
-    terms = _fibration_terms(points, rs, lam_labels, k)
-    weights = list(dict.fromkeys(
-        [t for pt in points for t in pt.tangent_weights] + list(rs.positive_roots)))
+    terms = _folded_terms(folded, rs, lam, k)
+    weights = [_as_ints(t) for t in dict.fromkeys(
+        [t for pt, _ in folded.values() for t in pt.tangent_weights] + list(rs.positive_roots))]
     phases = [t.phase for t in terms if any(c != 0 for c in t.phase)]
-    xi = _generic_direction(weights + phases, rs.rank)
-    cone = build_cone(weights, vec(xi))
+    cone = build_cone(weights, _generic_direction(weights + phases, rs.rank))
     try:
         return res_cone(terms, cone)
     except GenericityError as exc:

@@ -30,10 +30,10 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ConvergenceError, GenericityError
-from .linalg import Mat, Vec, mat_det, primitive_covector, vec
+from .linalg import Mat, Vec, mat_det, primitive_covector
 from .series import TruncatedSeries
 
-LinearForm = tuple[Fraction, ...]
+LinearForm = tuple[int, ...]
 DEFAULT_SEED = 20270614
 DEFAULT_RETRIES = 8
 
@@ -41,9 +41,10 @@ DEFAULT_RETRIES = 8
 @dataclass
 class RatExpTerm:
     """q(X) e^{<phase,X>} / prod (beta_j)^{m_j} in canonical form: every
-    denominator form has coprime integer entries with positive leading
-    entry, scalars being absorbed into the numerator; proportional forms
-    are merged into one multiplicity."""
+    denominator form is an int tuple with coprime entries and positive
+    leading entry, scalars being absorbed into the numerator; proportional
+    forms are merged into one multiplicity.  Phase entries are ints or
+    Fractions."""
 
     num_vars: int
     numerator: TruncatedSeries
@@ -95,19 +96,19 @@ class RatExpTerm:
 def canonical_dens(dens) -> tuple[tuple[tuple[LinearForm, int], ...], Fraction]:
     """The denominators prod form^mult in canonical form: merged primitive
     forms, and the scalar s with prod form^mult = s prod canon^mult."""
-    scale = Fraction(1)
+    num = den = 1
     merged: dict[LinearForm, int] = {}
     for form, mult in dens:
-        canon, scalar = primitive_covector(vec(form))
-        scale *= scalar ** mult
+        canon, scalar = primitive_covector(form)
+        num, den = num * scalar.numerator ** mult, den * scalar.denominator ** mult
         merged[canon] = merged.get(canon, 0) + mult
-    return tuple(sorted(merged.items())), scale
+    return tuple(sorted(merged.items())), Fraction(num, den)
 
 
 def make_term(num_vars: int, numerator: TruncatedSeries, phase, dens) -> RatExpTerm:
     """Build a term in canonical form (normalized, merged denominators)."""
     dens, scale = canonical_dens(dens)
-    return RatExpTerm(num_vars, numerator.as_polynomial() * (1 / scale), vec(phase), dens)
+    return RatExpTerm(num_vars, numerator.as_polynomial() * (1 / scale), tuple(phase), dens)
 
 
 def merge_terms(terms: list[RatExpTerm]) -> list[RatExpTerm]:
@@ -143,7 +144,7 @@ def _residue_at_pole(term: RatExpTerm, var: int, pole_index: int) -> list[RatExp
     n = term.num_vars
     # x_var := the pole location, the other coordinates fixed
     at_pole = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    at_pole[var] = tuple(Fraction(0) if i == var else -form[i] / a for i in range(n))
+    at_pole[var] = tuple(0 if i == var else Fraction(-form[i], a) for i in range(n))
     return [t.scaled(Fraction(1, factorial(mult - 1))).pull_back(at_pole) for t in work]
 
 
@@ -176,7 +177,7 @@ def res_plus_1d(terms: list[RatExpTerm], var: int) -> list[RatExpTerm]:
 class Cone:
     """The chamber {X : beta_i(X) > 0} cut out by sign-adjusted weights."""
 
-    weights: tuple[LinearForm, ...]
+    weights: tuple[Vec, ...]
     xi: Vec
 
     def contains(self, v: Vec) -> bool:
@@ -185,11 +186,12 @@ class Cone:
 
 def build_cone(weights, xi) -> Cone:
     """Flip each weight so it pairs positively with xi; error on a zero
-    pairing (xi fails to be generic)."""
-    xi = vec(xi)
+    pairing (xi fails to be generic).  Entries keep their type, so an int
+    cone stays in integers."""
+    xi = tuple(xi)
     flipped = []
     for w in weights:
-        w = vec(w)
+        w = tuple(w)
         val = sum(a * b for a, b in zip(w, xi))
         if val == 0:
             raise GenericityError("xi pairs to zero with weight %s" % (w,))
@@ -202,7 +204,7 @@ def _default_coords(cone: Cone, n: int) -> Mat:
     standard basis vectors; columns are the basis vectors."""
     from itertools import combinations
 
-    std = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
+    std = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     for combo in combinations(range(n), n - 1):
         cols = [std[j] for j in combo] + [cone.xi]
         mat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))

@@ -77,6 +77,13 @@ def test_symplectic_exponent_key_is_accepted_as_alias(tmp_path):
     ("fibration_a2_rho_pair_k3.json", ["fibration", "--weight", "2,1", "--k", "3",
                                        "--fixture", str(FIXTURES / "su3_rho_pair.json"),
                                        "--route", "residue", "--oracle-factors", "1,1;1,1"]),
+    ("fibration_a1_four_spheres_k2.json", ["fibration", "--weight", "2", "--k", "2",
+                                           "--fixture", str(FIXTURES / "su2_four_spheres.json"),
+                                           "--route", "residue",
+                                           "--oracle-factors", "1;1;1;1"]),
+    ("fibration_a1_mixed_spins_k2.json", ["fibration", "--weight", "2", "--k", "2",
+                                          "--fixture", str(FIXTURES / "su2_mixed_spins.json"),
+                                          "--route", "residue", "--oracle-factors", "1;2;1"]),
 ])
 def test_golden_outputs(capsys, golden, argv):
     code, out = run(capsys, *argv)
@@ -160,6 +167,15 @@ def test_fibration_at_k_zero_is_an_input_error(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("input error:") and "k >= 1" in captured.err
+
+
+def test_non_dominant_lambda_is_an_input_error(capsys):
+    # the residue route used to print "-4" here and exit 0
+    code = main(["fibration", "--weight", "-2", "--k", "1",
+                 "--fixture", str(FIXTURES / "su2_four_spheres.json"), "--route", "residue"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("input error:") and "not dominant" in captured.err
 
 
 def test_exit_code_singular_fibration(capsys, tmp_path):

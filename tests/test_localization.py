@@ -7,6 +7,7 @@ import pytest
 from orbitrr.characters import orbit_volume, weyl_dim
 from orbitrr.errors import (ConfigurationError, DegenerateOrbitError, InadmissibleInputError,
                             InternalInconsistencyError, SingularValueError)
+from orbitrr.jsonio import parse_fixed_points
 from orbitrr.localization import (BaseIntersectionOracle, CalibrationRegistry,
                                   FixedPointDatum, _fibration_terms, _generic_direction,
                                   fibration_rr_base, fibration_rr_residue,
@@ -333,6 +334,70 @@ def test_residue_route_refuses_k_below_one(a1):
     for k in (0, -1, -2):
         with pytest.raises(ValueError, match="k >= 1"):
             raw_fibration_residue(points, a1, (1,), k)
+
+
+def test_residue_route_refuses_a_non_dominant_lambda(a1):
+    # (1)x(1) at Lambda -1, k 2 used to read -1; the tensor oracle at
+    # |Lambda| gives 1.  The base route refuses the same Lambda.
+    points = product_orbit_fixed_data(a1, [(1,), (1,)])
+    assert tensor_multiplicity(a1, [(2,), (2,)], (2,)) == 1
+    with pytest.raises(ValueError, match="not dominant"):
+        raw_fibration_residue(points, a1, (-1,), 2)
+    with pytest.raises(ValueError, match="not dominant"):
+        fibration_rr_residue(points, a1, (-1,), 2)
+
+
+def _outcome(points, rs, lam, k):
+    try:
+        return raw_fibration_residue(points, rs, lam, k)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+def _permuted(rs, points):
+    points = list(points)
+    random.Random(5).shuffle(points)
+    return tuple(points)
+
+
+def _split(rs, points):
+    # the third point as two copies whose factors sum to its own
+    pt = points[2]
+    halves = tuple(FixedPointDatum(pt.label, pt.moment, pt.tangent_weights,
+                                   pt.symplectic_factor * c) for c in (F(5, 2), F(-3, 2)))
+    return points[:2] + halves + points[3:]
+
+
+def _as_loaded(rs, points):
+    # Fraction moments and tangent weights, as a fixture file gives them
+    return parse_fixed_points({"group": rs.label, "fixed_points": [
+        {"label": pt.label, "moment": [str(c) for c in pt.moment],
+         "tangent_weights": [[str(c) for c in t] for t in pt.tangent_weights]}
+        for pt in points]})[1]
+
+
+def _as_int_tuples(rs, points):
+    return tuple(FixedPointDatum(pt.label, tuple(int(c) for c in pt.moment),
+                                 tuple(tuple(int(c) for c in t) for t in pt.tangent_weights))
+                 for pt in points)
+
+
+@pytest.mark.parametrize("variant", [_permuted, _split, _as_loaded, _as_int_tuples],
+                         ids=["permuted", "split", "fractions", "ints"])
+@pytest.mark.parametrize("group,factors,lam,k", [
+    ("A1", [(1,), (2,), (1,), (1,)], (1,), 2),
+    ("A1", [(2,), (1,), (3,), (1,), (1,)], (F(1, 2),), 4),
+    ("A1", [(1,), (1,)], (2,), 2),
+    ("A2", [(1, 1), (1, 1)], (2, 1), 3),
+    ("A2", [(2, 0), (2, 1)], (2, 2), 1),
+], ids=["a1-1211", "a1-21311-half", "a1-11-boundary", "a2-11x11", "a2-interior-wall"])
+def test_folding_changes_no_result(variant, group, factors, lam, k):
+    # the route depends on the points only through their (moment, tangent
+    # multiset) keys and summed factors: order, splitting and the number
+    # type of the coordinates change nothing, value or error
+    rs = build_root_system(group[0], int(group[1]))
+    points = product_orbit_fixed_data(rs, factors)
+    assert _outcome(variant(rs, points), rs, lam, k) == _outcome(points, rs, lam, k)
 
 
 def test_base_route_requires_dominant_integral_k_lambda(a1):

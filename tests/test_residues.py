@@ -5,7 +5,8 @@ import pytest
 
 from orbitrr.errors import ConvergenceError, GenericityError
 from orbitrr.linalg import mat_det
-from orbitrr.residues import build_cone, make_term, merge_terms, res_cone, res_plus_1d
+from orbitrr.residues import (RatExpTerm, build_cone, make_term, merge_terms, res_cone,
+                              res_plus_1d)
 from orbitrr.series import TruncatedSeries
 from orbitrr.volumes import partition_fiber_volume
 
@@ -242,6 +243,26 @@ def test_chamber_volume_agreement_small_corpus():
         t = simple_term(p, [(w, 1) for w in weights])
         value = res_cone([t], cone)[0]
         assert value == partition_fiber_volume(weights, p), (weights, p)
+
+
+@pytest.mark.parametrize("terms,xi", [
+    ([((3, 2), (((0, 1), 1), ((2, 1), 2))), ((1, 4), (((1, 0), 1), ((2, 1), 1)))], (1, 2)),
+    ([((2, 3, 5), (((2, 1, 0), 1), ((0, 1, 1), 1), ((1, 0, 3), 2)))], (1, 1, 1)),
+], ids=["2-vars", "3-vars"])
+def test_int_forms_give_the_exact_fraction_result(terms, xi):
+    # int denominator forms with a non-unit pivot, as the residue route
+    # builds them: every division at a pole must stay exact, never int / int
+    def problem(num):
+        n = len(xi)
+        built = [RatExpTerm(n, const(n), tuple(map(num, phase)),
+                            tuple((tuple(map(num, form)), m) for form, m in dens))
+                 for phase, dens in terms]
+        forms = [form for t in built for form, _ in t.dens]
+        return built, build_cone(forms, tuple(map(num, xi)))
+
+    value, attempts = res_cone(*problem(int))
+    assert isinstance(value, F) and value != 0
+    assert (value, attempts) == res_cone(*problem(F))
 
 
 def test_merge_terms_combines_signatures():
