@@ -13,6 +13,8 @@ representation-theoretic combinatorics and shares no code with either.
 Run:  python demos/fibration_pipeline.py
 """
 
+from fractions import Fraction
+
 from orbitrr import (BaseIntersectionOracle, CalibrationRegistry, build_root_system,
                      fibration_rr_base, fibration_rr_residue, product_orbit_fixed_data,
                      tensor_multiplicity)
@@ -22,7 +24,7 @@ points = product_orbit_fixed_data(a1, [(1,), (1,), (1,)])
 print("fixed points of the product of three spheres:")
 for pt in points:
     print("  label %-10s moment %-6s tangent weights %s"
-          % (pt.label, pt.moment, pt.tangent_weights))
+          % (pt.label, tuple(map(Fraction, pt.moment)), pt.tangent_weights))
 
 registry = CalibrationRegistry()
 oracle = BaseIntersectionOracle.point(a1)

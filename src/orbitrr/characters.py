@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateOrbitError, ExactDivisionError, InternalInconsistencyError
-from .linalg import Vec, vec, vec_add
+from .linalg import Vec, vec, vec_add, vec_str
 from .roots import RootSystem, enumerate_weyl_group
 from .series import TruncatedSeries, positive_root_product
 
@@ -27,23 +27,18 @@ def check_weight(rs: RootSystem, labels, *, dominant=False, integral=False) -> V
     if len(labels) != rs.rank:
         raise ValueError("expected %d Dynkin labels, got %d" % (rs.rank, len(labels)))
     if dominant and any(c < 0 for c in labels):
-        raise ValueError("weight %s is not dominant" % (labels,))
+        raise ValueError("weight %s is not dominant" % vec_str(labels))
     if integral and any(c.denominator != 1 for c in labels):
-        raise ValueError("weight %s is not integral" % (labels,))
+        raise ValueError("weight %s is not integral" % vec_str(labels))
     return labels
 
 
 def weyl_dim(rs: RootSystem, labels) -> int:
     """Dimension of the irreducible representation with the given
-    dominant integral highest weight."""
+    dominant integral highest weight: the volume of the orbit through
+    the highest weight plus rho."""
     labels = check_weight(rs, labels, dominant=True, integral=True)
-    shifted = vec_add(labels, rs.rho)
-    num = Fraction(1)
-    den = Fraction(1)
-    for g in rs.positive_roots:
-        num *= rs.pairing(shifted, g)
-        den *= rs.pairing(rs.rho, g)
-    value = num / den
+    value = orbit_volume(rs, vec_add(labels, rs.rho))
     if value.denominator != 1 or value <= 0:
         raise InternalInconsistencyError("Weyl dimension %s is not a positive integer" % value)
     return int(value)
@@ -93,7 +88,7 @@ def character_series(rs: RootSystem, labels, trunc: int) -> TruncatedSeries:
     labels = check_weight(rs, labels, dominant=True, integral=True)
     m = len(rs.positive_roots)
     work = trunc + m
-    shifted = tuple(int(c) for c in vec_add(labels, rs.rho))  # integral, checked above
+    shifted = vec_add(labels, rs.rho)
     numerator = TruncatedSeries.exp_sum(
         [(w.act(shifted), w.sign) for w in enumerate_weyl_group(rs)], work)
     denominator = weyl_denominator(rs, work)

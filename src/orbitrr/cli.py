@@ -20,6 +20,7 @@ from .characters import character_series, orbit_volume, weyl_dim
 from .errors import ExactDivisionError, GenericityError, InternalInconsistencyError
 from .jsonio import (canonical_json, fraction_to_str, load_base_oracle, load_fixed_points,
                      load_residue_problem, parse_weight_labels)
+from .linalg import vec_str
 from .localization import (CalibrationRegistry, fibration_rr_base, fibration_rr_residue,
                            rr_orbit_fixedpoint)
 from .multiplicities import tensor_multiplicity
@@ -114,7 +115,7 @@ def _cmd_fibration(args) -> int:
         registry = CalibrationRegistry()
         value = fibration_rr_residue(points, rs, lam, args.k, registry=registry)
         doc["residue"] = fraction_to_str(value)
-        constant = registry.constants[(rs.label, len(points[0].tangent_weights))]
+        constant = registry.constant_for(rs, len(points[0].tangent_weights))
         doc["constant"] = fraction_to_str(constant)
     if args.route in ("base", "both"):
         if not args.base_fixture:
@@ -123,6 +124,11 @@ def _cmd_fibration(args) -> int:
         if base_rs.label != rs.label:
             raise ValueError("base fixture group %s does not match %s"
                              % (base_rs.label, rs.label))
+        # dim_C M_0: tangent weights per point - rank - 2 |positive roots|
+        dims = {len(pt.tangent_weights) - rs.rank - 2 * len(rs.positive_roots) for pt in points}
+        if dims != {oracle.top_degree}:
+            raise ValueError("base fixture top degree %d does not fit the fixture's dim_C M_0 %s"
+                             % (oracle.top_degree, vec_str(sorted(dims)) or "(no fixed points)"))
         doc["base"] = fraction_to_str(fibration_rr_base(oracle, rs, lam, args.k))
     if args.route == "both":
         diff = Fraction(doc["residue"]) - Fraction(doc["base"])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .linalg import rref
+from .linalg import Vec, rref, vec
 from .localization import BaseIntersectionOracle, FixedPointDatum
 from .residues import RatExpTerm, make_term
 from .roots import RootSystem, parse_group_label
@@ -34,13 +34,13 @@ def parse_fraction(s) -> Fraction:
     raise ValueError("expected an integer or a 'p/q' string, got %r" % (s,))
 
 
-def parse_vector(v) -> tuple[Fraction, ...]:
+def parse_vector(v) -> Vec:
     if not isinstance(v, list):
         raise ValueError("expected a list of rationals, got %r" % (v,))
-    return tuple(parse_fraction(c) for c in v)
+    return vec(parse_fraction(c) for c in v)
 
 
-def _parse_covector(v, n: int, what: str) -> tuple[Fraction, ...]:
+def _parse_covector(v, n: int, what: str) -> Vec:
     out = parse_vector(v)
     if len(out) != n:
         raise ValueError("%s %r has %d entries, expected %d" % (what, v, len(out), n))
@@ -101,9 +101,9 @@ def _load_object(path) -> dict:
     return doc
 
 
-def parse_weight_labels(text: str) -> tuple[Fraction, ...]:
+def parse_weight_labels(text: str) -> Vec:
     """Comma-separated Dynkin labels, integers or rationals: "2,1" or "1/2,1"."""
-    return tuple(parse_fraction(part.strip()) for part in text.split(","))
+    return vec(parse_fraction(part.strip()) for part in text.split(","))
 
 
 def canonical_json(obj) -> str:
@@ -129,7 +129,7 @@ def parse_fixed_points(doc: dict) -> tuple[RootSystem, tuple[FixedPointDatum, ..
             moment=_parse_covector(entry["moment"], rs.rank, "moment"),
             tangent_weights=tuple(_parse_covector(w, rs.rank, "tangent weight")
                                   for w in _list_field(entry, "tangent_weights")),
-            symplectic_factor=parse_fraction(factor),
+            symplectic_factor=parse_vector([factor])[0],
         ))
     return rs, tuple(points)
 

@@ -1,4 +1,5 @@
-"""Small exact-rational linear algebra helpers on tuples of Fractions.
+"""Small exact-rational linear algebra helpers on tuples whose entries
+are ints where integral and Fractions otherwise; ``vec`` alone decides.
 
 Everything here works on immutable tuples so results can live inside
 frozen dataclasses and be hashed/cached.
@@ -9,12 +10,23 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[int | Fraction, ...]
 Mat = tuple[Vec, ...]
 
 
+def _exact(e) -> int | Fraction:
+    q = e if type(e) is int else Fraction(e)
+    return q.numerator if q.denominator == 1 else q
+
+
 def vec(entries) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+    """The one weight normaliser: each entry an int or, if not integral, a Fraction."""
+    return tuple(map(_exact, entries))
+
+
+def vec_str(v) -> str:
+    """Comma-joined entries, the command line's label syntax: "1,-1", "1/2"."""
+    return ",".join(map(str, v))
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:

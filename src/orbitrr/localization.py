@@ -37,7 +37,7 @@ from .characters import character_series, check_weight
 from .errors import (ConfigurationError, DegenerateOrbitError, GenericityError,
                      InadmissibleInputError, InternalInconsistencyError, SingularValueError)
 from .invariants import express_invariant, fundamental_degrees
-from .linalg import Vec, mat_det, vec
+from .linalg import Vec, mat_det, vec, vec_str
 from .residues import RatExpTerm, build_cone, canonical_dens, res_cone
 from .roots import RootSystem, WeylElement, enumerate_weyl_group
 from .series import TruncatedSeries, positive_root_product
@@ -53,16 +53,11 @@ class FixedPointDatum:
     label: str
     moment: Vec
     tangent_weights: tuple[Vec, ...]
-    symplectic_factor: Fraction = Fraction(1)
+    symplectic_factor: int | Fraction = 1
 
     def __post_init__(self):
         if not all(map(any, self.tangent_weights)):
             raise ValueError("tangent weights must be nonzero (isolated fixed points)")
-
-
-def _as_ints(v) -> tuple:
-    """The entries of v, each an int when integral and a Fraction otherwise."""
-    return tuple(int(c) if c.denominator == 1 else c for c in v)
 
 
 def product_orbit_fixed_data(rs: RootSystem, factor_labels) -> tuple[FixedPointDatum, ...]:
@@ -75,13 +70,13 @@ def product_orbit_fixed_data(rs: RootSystem, factor_labels) -> tuple[FixedPointD
     group = enumerate_weyl_group(rs)
     factors = []
     for labels in factor_labels:
-        mu = _as_ints(vec(labels))
+        mu = vec(labels)
         roots = [g for g in rs.positive_roots if rs.pairing(g, mu) > 0]
         fixed: dict = {}
         for w in group:
             img = w.act(mu)
             if img not in fixed:
-                fixed[img] = (",".join(str(c) for c in img), tuple(w.act(g) for g in roots))
+                fixed[img] = (vec_str(img), tuple(w.act(g) for g in roots))
         factors.append([(img, text, tangent) for img, (text, tangent) in fixed.items()])
     data = []
     for combo in iproduct(*factors):
@@ -125,7 +120,7 @@ def rr_orbit_fixedpoint(rs: RootSystem, labels, k: int) -> int:
 
     and the same sums with j < m in place of m must vanish (no pole at 1).
     """
-    labels = tuple(int(c) for c in check_weight(rs, labels, dominant=True, integral=True))
+    labels = check_weight(rs, labels, dominant=True, integral=True)
     if k < 0:
         raise ValueError("k must be nonnegative")
     xi = _generic_direction(rs.positive_roots, rs.rank)
@@ -222,18 +217,16 @@ def _check_regularity(moments, rs: RootSystem, lam_cov: Vec):
 
 
 def _fold(points) -> dict:
-    """(moment, sorted tangent weights), ints where integral -> [first point
-    with that key, sum of its nonzero symplectic factors].  The sum is None
-    when every factor is 0: those points add no term, while factors that
-    cancel still add (zero) terms."""
+    """(moment, sorted tangent weights) -> [first point with that key, sum
+    of its nonzero symplectic factors].  The sum is None when every factor
+    is 0: those points add no term, while factors that cancel still add
+    (zero) terms."""
     folded: dict = {}
     for pt in points:
         entry = folded.setdefault((pt.moment, tuple(sorted(pt.tangent_weights))), [pt, None])
-        factor = pt.symplectic_factor
-        if factor:
-            entry[1] = (entry[1] or 0) + (int(factor) if factor.denominator == 1 else factor)
-    return {(_as_ints(moment), tuple(map(_as_ints, tangent))): entry
-            for (moment, tangent), entry in folded.items()}
+        if pt.symplectic_factor:
+            entry[1] = (entry[1] or 0) + pt.symplectic_factor
+    return folded
 
 
 def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
@@ -248,7 +241,7 @@ def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
     once per distinct input, and the canonical denominators once per
     multiset, whose products absorb their scale.  All points have one
     dimension, so one truncation degree serves them all."""
-    return _folded_terms(_fold(points), rs, _as_ints(vec(lam_labels)), k)
+    return _folded_terms(_fold(points), rs, vec(lam_labels), k)
 
 
 def _folded_terms(folded: dict, rs: RootSystem, lam: Vec, k: int):
@@ -260,7 +253,7 @@ def _folded_terms(folded: dict, rs: RootSystem, lam: Vec, k: int):
     orbit = [TruncatedSeries.exp_sum([(tuple(a - b for a, b in zip(u_rho, w_rho)), w_sign * u_sign)
                                       for u_rho, u_sign in rho_images], cap)
              for w_rho, w_sign in rho_images]
-    kw_lam = [_as_ints(k * c for c in w.act(lam)) for w in group]
+    kw_lam = [vec(k * c for c in w.act(lam)) for w in group]
     todd: dict = {}
     products: dict = {}
     canon: dict = {}
@@ -277,7 +270,7 @@ def _folded_terms(folded: dict, rs: RootSystem, lam: Vec, k: int):
                     todd[t] = TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
                 unit = unit * todd[t]
             products[tangent] = [(orbit_factor * unit).as_polynomial() for orbit_factor in orbit]
-        k_moment = _as_ints(k * c for c in moment)
+        k_moment = vec(k * c for c in moment)
         for i, product in enumerate(products[tangent]):
             # a group whose contributions cancel still yields a (zero) term,
             # so the generic direction keeps avoiding its phase
@@ -306,7 +299,7 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> tuple[F
     _check_proven(rs)
     if k < 1:
         raise ValueError("the residue route needs k >= 1, got %s" % k)
-    lam_labels = vec(lam_labels)
+    lam = vec(lam_labels)
     points = tuple(points)
     if not points:
         raise ValueError("need at least one fixed point")
@@ -319,13 +312,12 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> tuple[F
     if reduced_dim < 0:
         raise SingularValueError(
             "the reduced space has negative expected dimension %d" % reduced_dim)
-    if not rs.is_regular(lam_labels):
+    if not rs.is_regular(lam):
         raise DegenerateOrbitError("Lambda lies on a Weyl wall")
     # at a non-dominant Lambda the residue is not the Riemann-Roch number
-    check_weight(rs, lam_labels, dominant=True)
-    if any((k * c).denominator != 1 for c in lam_labels):
+    check_weight(rs, lam, dominant=True)
+    if any((k * c).denominator != 1 for c in lam):
         raise InadmissibleInputError("k Lambda is not a weight")
-    lam = _as_ints(lam_labels)
     folded = _fold(points)
     # each check once per distinct moment, naming its first point
     firsts: dict = {}
@@ -333,7 +325,8 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> tuple[F
         firsts.setdefault(moment, pt)
     for moment, pt in firsts.items():
         if any((k * c).denominator != 1 for c in moment):
-            raise InadmissibleInputError("k-scaled moment value %s is not a weight" % (pt.moment,))
+            raise InadmissibleInputError("k-scaled moment value %s is not a weight"
+                                         % vec_str(moment))
         diff = tuple(k * (a - b) for a, b in zip(moment, lam))
         if any(c.denominator != 1 for c in rs.weight_vector(diff)):
             raise InadmissibleInputError(
@@ -341,8 +334,8 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> tuple[F
     _check_regularity(firsts, rs, lam)
 
     terms = _folded_terms(folded, rs, lam, k)
-    weights = [_as_ints(t) for t in dict.fromkeys(
-        [t for pt, _ in folded.values() for t in pt.tangent_weights] + list(rs.positive_roots))]
+    weights = list(dict.fromkeys([t for _, tangent in folded for t in tangent]
+                                 + list(rs.positive_roots)))
     phases = [t.phase for t in terms if any(c != 0 for c in t.phase)]
     cone = build_cone(weights, _generic_direction(weights + phases, rs.rank))
     try:

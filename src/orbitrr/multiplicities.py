@@ -50,8 +50,7 @@ def weight_multiplicities(rs: RootSystem, labels) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _weight_multiplicities_cached(rs: RootSystem, labels) -> dict[tuple[int, ...], int]:
-    lam = tuple(int(c) for c in labels)
+def _weight_multiplicities_cached(rs: RootSystem, lam: Vec) -> dict[tuple[int, ...], int]:
     rho = rs.rho
     lam_rho = vec_add(lam, rho)
     norm_top = rs.pairing(lam_rho, lam_rho)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .errors import ExactDivisionError, InternalInconsistencyError
-from .linalg import Mat, vec
+from .linalg import Mat
 from .roots import RootSystem, enumerate_weyl_group
 
 Monomial = tuple[int, ...]
@@ -101,13 +101,8 @@ class TruncatedSeries:
 
     @classmethod
     def linear_form(cls, cov, trunc: int | None = None) -> "TruncatedSeries":
-        cov = vec(cov)
         n = len(cov)
-        coeffs = {}
-        for i, c in enumerate(cov):
-            mono = tuple(int(i == j) for j in range(n))
-            coeffs[mono] = c
-        return cls(n, coeffs, trunc)
+        return cls(n, {tuple(int(i == j) for j in range(n)): c for i, c in enumerate(cov)}, trunc)
 
     @classmethod
     def exp_sum(cls, terms, trunc: int) -> "TruncatedSeries":

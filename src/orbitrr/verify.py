@@ -142,10 +142,10 @@ def _su2_fibration_cases():
     """(points label, factors, Lambda, k values) for the SU(2) fibration
     sweep; all values are checked against the tensor oracle."""
     return [
-        ("three-spheres", [(1,), (1,), (1,)], (Fraction(1),), [1, 2, 3, 4, 5, 6]),
-        ("four-spheres", [(1,), (1,), (1,), (1,)], (Fraction(1),), [2, 4]),
-        ("four-spheres", [(1,), (1,), (1,), (1,)], (Fraction(2),), [1, 2]),
-        ("mixed-spins", [(1,), (2,), (1,)], (Fraction(2),), [1, 2]),
+        ("three-spheres", [(1,), (1,), (1,)], (1,), [1, 2, 3, 4, 5, 6]),
+        ("four-spheres", [(1,), (1,), (1,), (1,)], (1,), [2, 4]),
+        ("four-spheres", [(1,), (1,), (1,), (1,)], (2,), [1, 2]),
+        ("mixed-spins", [(1,), (2,), (1,)], (2,), [1, 2]),
     ]
 
 
@@ -175,7 +175,7 @@ def suite_fibration() -> list[CheckResult]:
         for k in ks:
             expected = tensor_multiplicity(
                 rs, [tuple(k * c for c in f) for f in factors],
-                tuple(int(k * c) for c in lam))
+                tuple(k * c for c in lam))
             value = fibration_rr_residue(points, rs, lam, k)
             if value != expected:
                 bad.append((name, lam, k, value, expected))

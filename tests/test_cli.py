@@ -6,8 +6,8 @@ import pytest
 
 from orbitrr.cli import main
 from orbitrr.jsonio import (fixture_path, fraction_to_str, load_base_oracle,
-                            load_fixed_points, load_residue_problem, parse_fraction,
-                            parse_weight_labels)
+                            load_fixed_points, load_residue_problem, parse_fixed_points,
+                            parse_fraction, parse_weight_labels)
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent.parent / "src" / "orbitrr" / "fixtures"
@@ -31,6 +31,21 @@ def test_fraction_round_trip():
 def test_parse_weight_labels():
     assert parse_weight_labels("2,1") == (F(2), F(1))
     assert parse_weight_labels("1/2, 1") == (F(1, 2), F(1))
+
+
+def test_parsed_weights_are_ints_where_integral():
+    labels = parse_weight_labels("2,4/2,1/2")
+    assert labels == (2, 2, F(1, 2))
+    assert [type(c) for c in labels] == [int, int, F]
+    _, points = parse_fixed_points({"group": "A2", "fixed_points": [
+        {"moment": ["2", "1/2"], "tangent_weights": [["4/2", "-1"]], "symplectic_factor": "6/3"},
+        {"moment": ["4/2", "3/2"], "tangent_weights": [["2", "-1"]], "symplectic_factor": "1/2"},
+    ]})
+    assert [type(c) for c in points[0].moment] == [int, F]
+    assert [type(c) for c in points[1].moment] == [int, F]
+    assert all(type(c) is int for pt in points for t in pt.tangent_weights for c in t)
+    assert points[0].symplectic_factor == 2 and type(points[0].symplectic_factor) is int
+    assert points[1].symplectic_factor == F(1, 2)
 
 
 def test_fixture_loading():
@@ -176,6 +191,60 @@ def test_non_dominant_lambda_is_an_input_error(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("input error:") and "not dominant" in captured.err
+    # the weight is printed in the --weight syntax, not as a Python repr
+    assert "weight -2 is not dominant" in captured.err and "Fraction(" not in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["dim", "--group", "A2", "--weight", "1/2,1"], "weight 1/2,1 is not integral"),
+    (["rr-orbit", "--group", "A2", "--weight", "1,-1", "--k", "1"],
+     "weight 1,-1 is not dominant"),
+], ids=["dim-not-integral", "rr-orbit-not-dominant"])
+def test_weights_in_errors_use_the_label_syntax(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert message in captured.err and "Fraction(" not in captured.err
+
+
+def test_rational_moment_error_uses_the_label_syntax(capsys, tmp_path):
+    doc = {"group": "A1", "fixed_points": [
+        {"label": "p", "moment": ["1/2"], "tangent_weights": [["2"], ["2"]]},
+        {"label": "q", "moment": ["-1/2"], "tangent_weights": [["-2"], ["-2"]]},
+    ]}
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc))
+    code = main(["fibration", "--weight", "1", "--k", "1", "--fixture", str(path),
+                 "--route", "residue"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "k-scaled moment value 1/2 is not a weight" in captured.err
+    assert "Fraction(" not in captured.err
+
+
+@pytest.mark.parametrize("route,k", [("base", 1), ("both", 2)])
+def test_base_fixture_of_another_dimension_is_an_input_error(capsys, route, k):
+    # the point oracle (top degree 0) fits three spheres, whose reduced space
+    # is a point, but not four: the base route used to print "2" against the
+    # tensor oracle's 0, and --route both exited 3 for this input mistake
+    code = main(["fibration", "--weight", "1", "--k", str(k),
+                 "--fixture", str(FIXTURES / "su2_four_spheres.json"),
+                 "--base-fixture", str(FIXTURES / "su2_point_base.json"),
+                 "--route", route, "--oracle-factors", "1;1;1;1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("input error:") and "top degree 0" in captured.err
+
+
+def test_base_route_on_a_fixture_without_fixed_points_is_an_input_error(capsys, tmp_path):
+    # the base route used to print "2" here, ignoring the fixture
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"group": "A1", "fixed_points": []}))
+    code = main(["fibration", "--weight", "1", "--k", "1", "--fixture", str(path),
+                 "--base-fixture", str(FIXTURES / "su2_point_base.json"), "--route", "base"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("input error:") and "no fixed points" in captured.err
 
 
 def test_exit_code_singular_fibration(capsys, tmp_path):

@@ -2,11 +2,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from orbitrr.linalg import kernel_basis, mat_det, mat_inv, solve_exact
+from orbitrr.linalg import kernel_basis, mat_det, mat_inv, solve_exact, vec, vec_str
 
 
 def _exact(values):
     return all(type(x) in (int, F) for x in values)
+
+
+def test_vec_gives_ints_where_integral_and_fractions_otherwise():
+    v = vec([2, F(4, 2), F(1, 2), "3/3"])
+    assert v == (2, 2, F(1, 2), 1) and _exact(v)
+    assert [type(x) for x in v] == [int, int, F, int]
+    assert vec_str(v) == "2,2,1/2,1" and vec_str(vec(["-2"])) == "-2"
 
 
 def test_det_of_int_matrix_is_exact_and_flips_sign_under_row_swap():

@@ -56,6 +56,15 @@ def test_orbit_fixed_data_a2_rho(a2):
         assert prod == root_poly * w.sign
 
 
+@pytest.mark.parametrize("group,factors", [("A1", [(1,), (2,), (3,)]), ("A2", [(2, 1), (1, 0)]),
+                                           ("B2", [(1, 1), (2, 0)])])
+def test_fixed_point_data_on_integral_labels_is_in_ints(group, factors):
+    rs = build_root_system(group[0], int(group[1]))
+    for pt in product_orbit_fixed_data(rs, factors):
+        assert all(type(c) is int for c in pt.moment)
+        assert all(type(c) is int for t in pt.tangent_weights for c in t)
+
+
 def test_coadjoint_orbit_points_non_regular(a2):
     pts = product_orbit_fixed_data(a2, [(1, 0)])
     assert len(pts) == 3
@@ -369,11 +378,18 @@ def _split(rs, points):
 
 
 def _as_loaded(rs, points):
-    # Fraction moments and tangent weights, as a fixture file gives them
+    # string moments and tangent weights, as a fixture file gives them
     return parse_fixed_points({"group": rs.label, "fixed_points": [
         {"label": pt.label, "moment": [str(c) for c in pt.moment],
          "tangent_weights": [[str(c) for c in t] for t in pt.tangent_weights]}
         for pt in points]})[1]
+
+
+def _as_fraction_points(rs, points):
+    # Fraction moments, tangent weights and factors, as a library caller may pass them
+    return tuple(FixedPointDatum(pt.label, tuple(map(F, pt.moment)),
+                                 tuple(tuple(map(F, t)) for t in pt.tangent_weights), F(1))
+                 for pt in points)
 
 
 def _as_int_tuples(rs, points):
@@ -382,8 +398,9 @@ def _as_int_tuples(rs, points):
                  for pt in points)
 
 
-@pytest.mark.parametrize("variant", [_permuted, _split, _as_loaded, _as_int_tuples],
-                         ids=["permuted", "split", "fractions", "ints"])
+@pytest.mark.parametrize("variant", [_permuted, _split, _as_loaded, _as_fraction_points,
+                                     _as_int_tuples],
+                         ids=["permuted", "split", "fractions", "fraction-points", "ints"])
 @pytest.mark.parametrize("group,factors,lam,k", [
     ("A1", [(1,), (2,), (1,), (1,)], (1,), 2),
     ("A1", [(2,), (1,), (3,), (1,), (1,)], (F(1, 2),), 4),
