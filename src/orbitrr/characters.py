@@ -56,7 +56,7 @@ def orbit_volume(rs: RootSystem, labels) -> Fraction:
     for g in rs.positive_roots:
         pg = rs.pairing(point, g)
         if pg == 0:
-            raise DegenerateOrbitError("point lies on the wall of %s" % (g,))
+            raise DegenerateOrbitError("point lies on the wall of %s" % vec_str(g))
         num *= pg
         den *= rs.pairing(rs.rho, g)
     if any(c < 0 for c in point):

@@ -13,11 +13,14 @@ Three routes live here, sharing only the root-system data:
   variables.  The fixed points are folded by (moment, tangent-weight
   multiset), so checks, phases and cone run once per key, in integer
   Dynkin labels; the integrand sums the (key, Weyl element)
-  contributions per (phase, multiset).  The constant of the residue
-  theorem is derived, not fitted: det(Cartan) / |W|, the 1/|W| of
-  nonabelian localization times the order of the centre, which acts
-  trivially on every admissible configuration.  The route refuses
-  reduced spaces of negative expected dimension, whose raw residue is 0
+  contributions per (phase, multiset).  The Todd units, orbit factors
+  and their products per multiset are pure, so they are memoised per
+  process in bounded caches keyed only by group and multiset.  The
+  constant of the residue theorem is derived, not fitted: det(Cartan) /
+  |W|, the 1/|W| of nonabelian localization times the order of the
+  centre, which acts trivially when every tangent weight lies in the
+  root lattice.  The route refuses other tangent weights, reduced
+  spaces of negative expected dimension, whose raw residue is 0
   whatever the true value is, a non-dominant Lambda, and a Lambda on a
   wall, where the residue fails or averages two chambers into a
   non-integer.
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, factorial, prod
 
@@ -234,54 +238,63 @@ def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
     element w contribute phase k(mu(F) - w Lambda), numerator the
     degree-truncated product of the orbit factor prod(1 - e^{-<w gamma,X>})
     with the tangent Todd units at F, and denominators the tangent weights
-    at F.  By the Weyl denominator identity the orbit factor is the one
-    exponential sum sign(w) sum_u sign(u) e^{<u rho - w rho, X>}.  The
-    nonzero contributions are summed per (phase, tangent-weight multiset),
-    one term per sum; each orbit factor, Todd factor and product is built
-    once per distinct input, and the canonical denominators once per
-    multiset, whose products absorb their scale.  All points have one
-    dimension, so one truncation degree serves them all."""
+    at F.  The nonzero contributions are summed per (phase, tangent-weight
+    multiset), one term per sum.  All points have one dimension, so one
+    truncation degree serves them all."""
     return _folded_terms(_fold(points), rs, vec(lam_labels), k)
+
+
+@lru_cache(maxsize=1024)
+def _todd_factor(t: Vec, cap: int) -> TruncatedSeries:
+    """The Todd unit <t,X> / (1 - e^{-<t,X>}) up to degree cap."""
+    one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
+    return TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
+
+
+@lru_cache(maxsize=64)
+def _orbit_factors(rs: RootSystem, cap: int) -> tuple[TruncatedSeries, ...]:
+    """Per Weyl element w, the orbit factor prod(1 - e^{-<w gamma,X>}) up to
+    degree cap, by the Weyl denominator identity the one exponential sum
+    sign(w) sum_u sign(u) e^{<u rho - w rho, X>}."""
+    rho_images = [(w.act(rs.rho), w.sign) for w in enumerate_weyl_group(rs)]
+    return tuple(TruncatedSeries.exp_sum([(tuple(a - b for a, b in zip(u_rho, w_rho)),
+                                           w_sign * u_sign) for u_rho, u_sign in rho_images], cap)
+                 for w_rho, w_sign in rho_images)
+
+
+@lru_cache(maxsize=256)
+def _tangent_products(rs: RootSystem, tangent: tuple[Vec, ...]):
+    """For one sorted tangent-weight multiset: its canonical denominators
+    and, per Weyl element, the polynomial orbit factor times Todd units,
+    with the denominators' scale absorbed, up to degree len(tangent) - rank."""
+    cap = len(tangent) - rs.rank
+    canon, scale = canonical_dens([(t, 1) for t in tangent])
+    unit = TruncatedSeries.constant(1 / scale, rs.rank, cap)
+    for t in tangent:
+        unit = unit * _todd_factor(t, cap)
+    return canon, tuple((orbit * unit).as_polynomial() for orbit in _orbit_factors(rs, cap))
 
 
 def _folded_terms(folded: dict, rs: RootSystem, lam: Vec, k: int):
     """_fibration_terms on folded points, one phase loop per key."""
-    l = rs.rank
-    cap = len(next(iter(folded))[1]) - l
-    group = enumerate_weyl_group(rs)
-    rho_images = [(w.act(rs.rho), w.sign) for w in group]
-    orbit = [TruncatedSeries.exp_sum([(tuple(a - b for a, b in zip(u_rho, w_rho)), w_sign * u_sign)
-                                      for u_rho, u_sign in rho_images], cap)
-             for w_rho, w_sign in rho_images]
-    kw_lam = [vec(k * c for c in w.act(lam)) for w in group]
-    todd: dict = {}
-    products: dict = {}
-    canon: dict = {}
+    kw_lam = [vec(k * c for c in w.act(lam)) for w in enumerate_weyl_group(rs)]
     groups: dict = {}
     for (moment, tangent), (_, factor) in folded.items():
         if factor is None:
             continue
-        if tangent not in products:
-            canon[tangent], scale = canonical_dens([(t, 1) for t in tangent])
-            unit = TruncatedSeries.constant(1 / scale, l, cap)
-            for t in tangent:
-                if t not in todd:
-                    one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
-                    todd[t] = TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
-                unit = unit * todd[t]
-            products[tangent] = [(orbit_factor * unit).as_polynomial() for orbit_factor in orbit]
+        canon, products = _tangent_products(rs, tangent)
         k_moment = vec(k * c for c in moment)
-        for i, product in enumerate(products[tangent]):
+        for i, product in enumerate(products):
             # a group whose contributions cancel still yields a (zero) term,
             # so the generic direction keeps avoiding its phase
             if product.is_zero():
                 continue
             phase = tuple(a - b for a, b in zip(k_moment, kw_lam[i]))
-            scalars = groups.setdefault((phase, tangent), {})
+            scalars = groups.setdefault((phase, tangent), (canon, products, {}))[2]
             scalars[i] = scalars.get(i, 0) + factor
-    return [RatExpTerm(l, sum((products[tangent][i] * c for i, c in scalars.items()),
-                              TruncatedSeries(l)), phase, canon[tangent])
-            for (phase, tangent), scalars in groups.items()]
+    return [RatExpTerm(rs.rank, sum((products[i] * c for i, c in scalars.items()),
+                                    TruncatedSeries(rs.rank)), phase, canon)
+            for (phase, _), (canon, products, scalars) in groups.items()]
 
 
 def _check_proven(rs: RootSystem) -> None:
@@ -331,11 +344,17 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> tuple[F
         if any(c.denominator != 1 for c in rs.weight_vector(diff)):
             raise InadmissibleInputError(
                 "k(mu(F) - Lambda) is not in the root lattice at %s" % pt.label)
+    # off the root lattice the centre moves the tangent space, and the
+    # constant det(Cartan) / |W| no longer holds
+    tangents = dict.fromkeys(t for _, tangent in folded for t in tangent)
+    for t in tangents:
+        if any(c.denominator != 1 for c in rs.weight_vector(t)):
+            raise InadmissibleInputError("tangent weight %s is not in the root lattice"
+                                         % vec_str(t))
     _check_regularity(firsts, rs, lam)
 
     terms = _folded_terms(folded, rs, lam, k)
-    weights = list(dict.fromkeys([t for _, tangent in folded for t in tangent]
-                                 + list(rs.positive_roots)))
+    weights = list(dict.fromkeys(list(tangents) + list(rs.positive_roots)))
     phases = [t.phase for t in terms if any(c != 0 for c in t.phase)]
     cone = build_cone(weights, _generic_direction(weights + phases, rs.rank))
     try:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ConvergenceError, GenericityError
-from .linalg import Mat, Vec, mat_det, primitive_covector
+from .linalg import Mat, Vec, identity, mat_det, primitive_covector, vec_str
 from .series import TruncatedSeries
 
 LinearForm = tuple[int, ...]
@@ -194,7 +194,7 @@ def build_cone(weights, xi) -> Cone:
         w = tuple(w)
         val = sum(a * b for a, b in zip(w, xi))
         if val == 0:
-            raise GenericityError("xi pairs to zero with weight %s" % (w,))
+            raise GenericityError("xi pairs to zero with weight %s" % vec_str(w))
         flipped.append(tuple(-c for c in w) if val < 0 else w)
     return Cone(weights=tuple(flipped), xi=xi)
 
@@ -258,7 +258,10 @@ def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
     result does not depend on the admissible coordinate choice.  On a
     genericity failure in three or more variables the first n-1 coordinate
     vectors are re-drawn deterministically from the seed, up to `retries`
-    times; in one or two variables the first failure is final.
+    times; in one or two variables the first failure is final.  A frame
+    that is the identity matrix (as on every rank-1 fibration) uses the
+    merged terms as they are: they are canonical, so pulling them back would
+    only rebuild equal terms.
 
     Returns (value, attempts_used).
     """
@@ -283,7 +286,7 @@ def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
     for attempt in range(retries + 1):
         frame = _perturbed_coords(base, attempt, seed)
         try:
-            work = [t.pull_back(frame) for t in terms]
+            work = terms if frame == identity(n) else [t.pull_back(frame) for t in terms]
             for var in range(n - 1, -1, -1):
                 work = res_plus_1d(work, var)
             total = Fraction(0)

@@ -199,12 +199,13 @@ def test_non_dominant_lambda_is_an_input_error(capsys):
     (["dim", "--group", "A2", "--weight", "1/2,1"], "weight 1/2,1 is not integral"),
     (["rr-orbit", "--group", "A2", "--weight", "1,-1", "--k", "1"],
      "weight 1,-1 is not dominant"),
-], ids=["dim-not-integral", "rr-orbit-not-dominant"])
+    (["orbit-volume", "--group", "A2", "--weight", "1,0"], "wall of -1,2"),
+], ids=["dim-not-integral", "rr-orbit-not-dominant", "orbit-volume-on-a-wall"])
 def test_weights_in_errors_use_the_label_syntax(capsys, argv, message):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert message in captured.err and "Fraction(" not in captured.err
+    assert message in captured.err and "(" not in captured.err
 
 
 def test_rational_moment_error_uses_the_label_syntax(capsys, tmp_path):
@@ -220,6 +221,24 @@ def test_rational_moment_error_uses_the_label_syntax(capsys, tmp_path):
     assert code == 1
     assert "k-scaled moment value 1/2 is not a weight" in captured.err
     assert "Fraction(" not in captured.err
+
+
+def test_tangent_weight_outside_the_root_lattice_is_an_input_error(capsys, tmp_path):
+    # CP^2 = P(V_1 + V_0) under SU(2): this printed "2" and exited 0, where
+    # V_2 occurs once in Sym^4(V_1 + V_0)
+    doc = {"group": "A1", "fixed_points": [
+        {"label": "p0", "moment": ["1"], "tangent_weights": [["1"], ["2"]]},
+        {"label": "p1", "moment": ["0"], "tangent_weights": [["-1"], ["1"]]},
+        {"label": "p2", "moment": ["-1"], "tangent_weights": [["-2"], ["-1"]]},
+    ]}
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(doc))
+    code = main(["fibration", "--weight", "1/2", "--k", "4", "--fixture", str(path),
+                 "--route", "residue"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert "tangent weight 1 is not in the root lattice" in captured.err
 
 
 @pytest.mark.parametrize("route,k", [("base", 1), ("both", 2)])

@@ -7,9 +7,11 @@ import pytest
 from orbitrr.characters import orbit_volume, weyl_dim
 from orbitrr.errors import (ConfigurationError, DegenerateOrbitError, InadmissibleInputError,
                             InternalInconsistencyError, SingularValueError)
-from orbitrr.jsonio import parse_fixed_points
+from orbitrr.jsonio import fixture_path, load_fixed_points, parse_fixed_points
+from orbitrr.linalg import identity
 from orbitrr.localization import (BaseIntersectionOracle, CalibrationRegistry,
                                   FixedPointDatum, _fibration_terms, _generic_direction,
+                                  _orbit_factors, _tangent_products, _todd_factor,
                                   fibration_rr_base, fibration_rr_residue,
                                   product_orbit_fixed_data, raw_fibration_residue,
                                   rr_leading_coefficient, rr_orbit_fixedpoint,
@@ -457,7 +459,7 @@ def _with_factors(points, factors):
 
 # first: how many leading fixed points of the product to keep (None: all);
 # the literal G2 assembly costs about 0.2 s per point
-@pytest.mark.parametrize("group,factors,symplectic,lam,k,first", [
+GROUPED_CASES = [
     ("A1", [(1,), (2,), (1,)], None, (2,), 3, None),
     ("A1", [(1,), (3,), (2,), (1,)], None, (3,), 2, None),
     ("A1", [(2,), (1,), (1,), (1,), (1,)], None, (2,), 3, None),
@@ -465,8 +467,12 @@ def _with_factors(points, factors):
     ("A2", [(2, 1), (1, 2)], None, (1, 2), 3, None),
     ("B2", [(1, 0), (1, 0)], None, (1, 1), 1, None),
     ("G2", [(1, 0), (1, 0)], None, (1, 1), 1, 7),
-], ids=["a1-121", "a1-1321", "a1-21111", "a1-symplectic-factors", "a2-21x12", "b2-10x10",
-        "g2-10x10-first-7"])
+]
+
+
+@pytest.mark.parametrize("group,factors,symplectic,lam,k,first", GROUPED_CASES,
+                         ids=["a1-121", "a1-1321", "a1-21111", "a1-symplectic-factors",
+                              "a2-21x12", "b2-10x10", "g2-10x10-first-7"])
 def test_grouped_assembly_matches_the_literal_one(group, factors, symplectic, lam, k, first):
     rs = build_root_system(group[0], int(group[1]))
     points = product_orbit_fixed_data(rs, factors)[:first]
@@ -489,6 +495,57 @@ def test_grouped_assembly_matches_the_literal_one(group, factors, symplectic, la
     phases = [t.phase for t in reference if any(t.phase)]
     cone = build_cone(weights, _generic_direction(weights + phases, rs.rank))
     assert res_cone(reference, cone) == raw_fibration_residue(points, rs, lam, k)
+
+
+def test_grouped_assembly_matches_the_literal_one_on_a_warm_memo():
+    # the per-multiset memo is process-wide: with every case's entries
+    # already built, and the cases run in the opposite order, the terms
+    # still match the literal assembly
+    for group, factors, symplectic, lam, k, first in GROUPED_CASES:
+        rs = build_root_system(group[0], int(group[1]))
+        _fibration_terms(product_orbit_fixed_data(rs, factors)[:first], rs, lam, k)
+    for case in GROUPED_CASES[::-1]:
+        test_grouped_assembly_matches_the_literal_one(*case)
+
+
+def test_memoised_products_are_shared_unchanged(a1):
+    # a second run reuses the entry the first one built, and no caller
+    # mutates the shared series
+    points = product_orbit_fixed_data(a1, [(1,), (2,), (1,), (1,)])
+    tangent = tuple(sorted(points[0].tangent_weights))
+    raw_fibration_residue(points, a1, (1,), 2)
+    entry = _tangent_products(a1, tangent)
+    before = [p.to_text() for p in entry[1]]
+    raw_fibration_residue(points, a1, (1,), 3)
+    assert _tangent_products(a1, tangent) is entry
+    assert [p.to_text() for p in entry[1]] == before
+
+
+@pytest.mark.parametrize("memo", [_todd_factor, _orbit_factors, _tangent_products])
+def test_assembly_memos_are_bounded(memo):
+    assert isinstance(memo.cache_info().maxsize, int)
+
+
+@pytest.mark.parametrize("name,lam,k", [("su2_mixed_spins.json", (2,), 2),
+                                        ("su3_rho_pair.json", (2, 1), 3)])
+def test_terms_pull_back_through_the_identity_unchanged(name, lam, k):
+    # res_cone skips the identity frame, which must leave every term as it is
+    rs, points = load_fixed_points(str(fixture_path(name)))
+    terms = _fibration_terms(points, rs, lam, k)
+    assert terms and all(t.pull_back(identity(rs.rank)) == t for t in terms)
+
+
+def test_tangent_weight_outside_the_root_lattice_is_refused(a1):
+    # CP^2 = P(V_1 + V_0): the odd weight 1 means that -1 in SU(2) moves the
+    # tangent space, so det(Cartan) / |W| is not the constant; the route used
+    # to give 2 here, where V_2 occurs once in Sym^4(V_1 + V_0)
+    points = (FixedPointDatum("p0", (1,), ((1,), (2,))),
+              FixedPointDatum("p1", (0,), ((-1,), (1,))),
+              FixedPointDatum("p2", (-1,), ((-2,), (-1,))))
+    with pytest.raises(InadmissibleInputError, match="tangent weight 1 is not in the root lattice"):
+        raw_fibration_residue(points, a1, (F(1, 2),), 4)
+    with pytest.raises(InadmissibleInputError):
+        fibration_rr_residue(points, a1, (F(1, 2),), 4)
 
 
 def _terms_by_make_term(points, rs, lam, k):

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from orbitrr.errors import ConvergenceError, GenericityError
-from orbitrr.linalg import mat_det
+from orbitrr.jsonio import fixture_path, load_residue_problem
+from orbitrr.linalg import identity, mat_det
 from orbitrr.residues import (RatExpTerm, build_cone, make_term, merge_terms, res_cone,
                               res_plus_1d)
 from orbitrr.series import TruncatedSeries
@@ -323,3 +324,15 @@ def test_pull_back_refuses_a_denominator_that_collapses():
     t = simple_term((F(1), F(1)), [((F(1), F(0)), 1), ((F(1), F(1)), 1)])
     with pytest.raises(GenericityError):
         t.pull_back(_at_pole(2, 0, (F(0), F(-1))))
+
+
+def test_parsed_terms_pull_back_through_the_identity_unchanged():
+    # res_cone skips the identity frame, which must leave every term as it is
+    problem = load_residue_problem(str(fixture_path("jk_chamber_problem.json")))
+    terms = problem["terms"]
+    assert terms and all(t.pull_back(identity(problem["vars"])) == t for t in terms)
+
+
+def test_build_cone_error_prints_the_weight_in_label_syntax():
+    with pytest.raises(GenericityError, match="xi pairs to zero with weight 1,-1$"):
+        build_cone([(1, -1)], (1, 1))
