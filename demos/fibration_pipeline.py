@@ -13,18 +13,17 @@ representation-theoretic combinatorics and shares no code with either.
 Run:  python demos/fibration_pipeline.py
 """
 
-from fractions import Fraction
-
 from orbitrr import (BaseIntersectionOracle, CalibrationRegistry, build_root_system,
                      fibration_rr_base, fibration_rr_residue, product_orbit_fixed_data,
                      tensor_multiplicity)
+from orbitrr.linalg import vec_str
 
 a1 = build_root_system("A", 1)
 points = product_orbit_fixed_data(a1, [(1,), (1,), (1,)])
 print("fixed points of the product of three spheres:")
 for pt in points:
     print("  label %-10s moment %-6s tangent weights %s"
-          % (pt.label, tuple(map(Fraction, pt.moment)), pt.tangent_weights))
+          % (pt.label, vec_str(pt.moment), " ".join(map(vec_str, pt.tangent_weights))))
 
 registry = CalibrationRegistry()
 oracle = BaseIntersectionOracle.point(a1)
@@ -36,4 +35,4 @@ for k in range(1, 7):
     tens = tensor_multiplicity(a1, [(k,)] * 3, (k,))
     print("%2d | %13s | %10s | %13s" % (k, res, base, tens))
 print()
-print("calibrated constants:", dict(registry.constants))
+print("calibrated constant det(Cartan) / |W| for A1:", registry.constant_for(a1, 3))

@@ -18,7 +18,7 @@ from .multiplicities import (tensor_multiplicity, weight_count_dimension,
 from .residues import (Cone, RatExpTerm, build_cone, make_term, merge_terms, res_cone,
                        res_plus_1d)
 from .roots import (RootSystem, WeylElement, build_root_system, enumerate_weyl_group,
-                    parse_group_label, weyl_act)
+                    parse_group_label)
 from .series import TruncatedSeries, flag_integral, positive_root_product
 from .volumes import partition_fiber_volume
 
@@ -36,5 +36,5 @@ __all__ = [
     "partition_fiber_volume", "positive_root_product", "product_orbit_fixed_data",
     "raw_fibration_residue", "res_cone", "res_plus_1d", "rr_leading_coefficient",
     "rr_orbit_fixedpoint", "todd_restriction_identity", "tensor_multiplicity", "weight_count_dimension",
-    "weight_multiplicities", "weyl_act", "weyl_dim",
+    "weight_multiplicities", "weyl_dim",
 ]

@@ -12,7 +12,6 @@ failed exact division or identity, or routes that disagree).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from .linalg import vec_str
 from .localization import (CalibrationRegistry, fibration_rr_base, fibration_rr_residue,
                            rr_orbit_fixedpoint)
 from .multiplicities import tensor_multiplicity
-from .residues import DEFAULT_RETRIES, DEFAULT_SEED, build_cone, res_cone
+from .residues import DEFAULT_SEED, build_cone, res_cone
 from .roots import parse_group_label
 from .verify import run_suite
 
@@ -40,14 +39,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, "input error: %s\n" % message)
-
-
-def _default_seed() -> int:
-    env = os.environ.get("ORBITRR_SEED")
-    try:
-        return int(env) if env else DEFAULT_SEED
-    except ValueError:
-        raise ValueError("ORBITRR_SEED must be an integer, got %r" % env) from None
 
 
 def _emit(doc: dict) -> None:
@@ -91,18 +82,19 @@ def _cmd_rr_orbit(args) -> int:
 
 def _cmd_jk_residue(args) -> int:
     problem = load_residue_problem(args.input)
-    cone = build_cone([form for term in problem["terms"] for form, _ in term.dens],
-                      problem["xi"])
-    value, attempts = res_cone(problem["terms"], cone, problem["coords"],
-                               seed=args.seed, retries=args.retries)
+    try:
+        cone = build_cone([form for term in problem["terms"] for form, _ in term.dens],
+                          problem["xi"])
+    except GenericityError as exc:
+        # xi is part of the problem file, and no frame has been tried yet
+        raise ValueError(str(exc)) from exc
+    value, attempts = res_cone(problem["terms"], cone, problem["coords"], seed=args.seed)
     _emit({"value": fraction_to_str(value), "retries": attempts, "seed": args.seed})
     return 0
 
 
 def _cmd_fibration(args) -> int:
     rs, points = load_fixed_points(args.fixture)
-    if args.group and parse_group_label(args.group).label != rs.label:
-        raise ValueError("--group %s contradicts fixture group %s" % (args.group, rs.label))
     lam = parse_weight_labels(args.weight)
     doc = {"group": rs.label, "weight": args.weight, "k": args.k, "route": args.route,
            "seed": args.seed}
@@ -161,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orbitrr",
         description="Exact Riemann-Roch numbers of coadjoint orbits and "
                     "symplectic fibrations")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="deterministic seed (default: ORBITRR_SEED or built-in)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="deterministic seed (default: %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -190,10 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("jk-residue", _cmd_jk_residue, help="iterated residue of a problem file")
     p.add_argument("--input", required=True)
-    p.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
 
     p = add("fibration", _cmd_fibration, help="Riemann-Roch of a fibration from fixture data")
-    p.add_argument("--group")
     p.add_argument("--weight", required=True, help="Dynkin labels of Lambda (rationals allowed)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--fixture", required=True, help="fixed-point data JSON")
@@ -213,8 +203,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
         return args.fn(args)
     except (InternalInconsistencyError, ExactDivisionError) as exc:
         sys.stderr.write("internal inconsistency: %s\n" % exc)

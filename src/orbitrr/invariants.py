@@ -45,16 +45,10 @@ def orbit_power_sum(rs: RootSystem, v: Vec, degree: int) -> TruncatedSeries:
     return out
 
 
-def molien_dimension(rs: RootSystem, degree: int) -> int:
-    """Dimension of the space of degree-d Weyl-invariant polynomials,
-    from the Molien series (1/|W|) sum_w 1/det(1 - t w)."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    return _molien_counts(rs, degree)[degree]
-
-
 def _molien_counts(rs: RootSystem, upto: int) -> list[int]:
-    """Molien counts of degrees 0..upto in one integer pass.  By Newton's
+    """Molien counts of degrees 0..upto: the dimensions of the spaces of
+    degree-d Weyl-invariant polynomials, the coefficients of the Molien
+    series (1/|W|) sum_w 1/det(1 - t w), in one integer pass.  By Newton's
     identity the coefficients of 1/det(1 - t w) obey
     d h_d = sum_j tr(w^j) h_{d-j}, so the recursion runs once per distinct
     sequence of power traces; the first rank traces fix det(1 - t w) and

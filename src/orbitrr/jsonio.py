@@ -47,17 +47,24 @@ def _parse_covector(v, n: int, what: str) -> Vec:
     return out
 
 
-def _list_field(obj: dict, key: str) -> list:
-    value = obj[key]
+def _field(obj: dict, key: str, what: str):
+    """The required field `key` of `obj`, which the message calls `what`."""
+    if key not in obj:
+        raise ValueError("%s has no field %r" % (what, key))
+    return obj[key]
+
+
+def _list_field(obj: dict, key: str, what: str) -> list:
+    value = _field(obj, key, what)
     if not isinstance(value, list):
         raise ValueError("field %r must be a list, not %r" % (key, value))
     return value
 
 
-def _pair_list(obj: dict, key: str) -> list:
+def _pair_list(obj: dict, key: str, what: str) -> list:
     """A list field whose entries are two-element lists, such as
     [monomial, coefficient] rows or [form, multiplicity] denominators."""
-    rows = _list_field(obj, key)
+    rows = _list_field(obj, key, what)
     for row in rows:
         if not isinstance(row, list) or len(row) != 2:
             raise ValueError("entries of %r must be two-element lists, not %r" % (key, row))
@@ -85,8 +92,8 @@ def _parse_table(rows, key: str) -> dict[tuple[int, ...], Fraction]:
     return table
 
 
-def _parse_group(doc: dict) -> RootSystem:
-    label = doc["group"]
+def _parse_group(doc: dict, what: str) -> RootSystem:
+    label = _field(doc, "group", what)
     if not isinstance(label, str):
         raise ValueError("group must be a label string such as \"A2\", not %r" % (label,))
     return parse_group_label(label)
@@ -115,20 +122,22 @@ def canonical_json(obj) -> str:
 
 
 def parse_fixed_points(doc: dict) -> tuple[RootSystem, tuple[FixedPointDatum, ...]]:
-    rs = _parse_group(doc)
+    what = "fixed-point data"
+    rs = _parse_group(doc, what)
     points = []
-    for entry in _list_field(doc, "fixed_points"):
+    for entry in _list_field(doc, "fixed_points", what):
         if not isinstance(entry, dict):
             raise ValueError("fixed point %d must be an object, not %r" % (len(points), entry))
         # "symplectic_exponent" accepted as an alias: for isolated fixed
         # points the pairing value of the symplectic class is the only
         # exact semantics, so both keys carry the same rational factor
         factor = entry.get("symplectic_factor", entry.get("symplectic_exponent", 1))
+        point = "fixed point %d" % len(points)
         points.append(FixedPointDatum(
             label=str(entry.get("label", "F%d" % len(points))),
-            moment=_parse_covector(entry["moment"], rs.rank, "moment"),
+            moment=_parse_covector(_field(entry, "moment", point), rs.rank, "moment"),
             tangent_weights=tuple(_parse_covector(w, rs.rank, "tangent weight")
-                                  for w in _list_field(entry, "tangent_weights")),
+                                  for w in _list_field(entry, "tangent_weights", point)),
             symplectic_factor=parse_vector([factor])[0],
         ))
     return rs, tuple(points)
@@ -143,14 +152,15 @@ def load_fixed_points(path) -> tuple[RootSystem, tuple[FixedPointDatum, ...]]:
 
 
 def parse_base_oracle(doc: dict) -> tuple[RootSystem, BaseIntersectionOracle]:
-    rs = _parse_group(doc)
-    generators = _pair_list(doc, "generators")
+    what = "base oracle"
+    rs = _parse_group(doc, what)
+    generators = _pair_list(doc, "generators", what)
     oracle = BaseIntersectionOracle(
         generator_names=tuple(str(n) for n, _ in generators),
         generator_degrees=tuple(_parse_int(d, "generator degree", 1) for _, d in generators),
-        top_degree=_parse_int(doc["top_degree"], "top_degree", 0),
-        pairing=_parse_table(_pair_list(doc, "pairing"), "pairing"),
-        todd=_parse_table(_pair_list(doc, "todd"), "todd"),
+        top_degree=_parse_int(_field(doc, "top_degree", what), "top_degree", 0),
+        pairing=_parse_table(_pair_list(doc, "pairing", what), "pairing"),
+        todd=_parse_table(_pair_list(doc, "todd", what), "todd"),
     )
     return rs, oracle
 
@@ -164,17 +174,19 @@ def load_base_oracle(path) -> tuple[RootSystem, BaseIntersectionOracle]:
 
 
 def parse_residue_problem(doc: dict) -> dict:
-    num_vars = _parse_int(doc["vars"], "vars", 1)
+    what = "residue problem"
+    num_vars = _parse_int(_field(doc, "vars", what), "vars", 1)
     terms: list[RatExpTerm] = []
-    for t in _list_field(doc, "terms"):
+    for t in _list_field(doc, "terms", what):
         if not isinstance(t, dict):
             raise ValueError("term %d must be an object, not %r" % (len(terms), t))
-        rows = _pair_list(t, "num") if "num" in t else [[[0] * num_vars, "1"]]
+        term = "term %d" % len(terms)
+        rows = _pair_list(t, "num", term) if "num" in t else [[[0] * num_vars, "1"]]
         num = TruncatedSeries(num_vars, _parse_table(rows, "num"), None)
-        phase = _parse_covector(t["phase"], num_vars, "phase")
+        phase = _parse_covector(_field(t, "phase", term), num_vars, "phase")
         dens = [(_parse_covector(form, num_vars, "denominator"),
                  _parse_int(mult, "denominator multiplicity", 1))
-                for form, mult in _pair_list(t, "dens")]
+                for form, mult in _pair_list(t, "dens", term)]
         if len(rref([form for form, _ in dens], num_vars)[1]) < num_vars:
             # such a term has no iterated residue: it would silently add 0
             raise ValueError("the denominators of term %d do not span the %d variables"
@@ -190,7 +202,7 @@ def parse_residue_problem(doc: dict) -> dict:
     return {
         "vars": num_vars,
         "terms": terms,
-        "xi": _parse_covector(doc["xi"], num_vars, "xi"),
+        "xi": _parse_covector(_field(doc, "xi", what), num_vars, "xi"),
         "coords": coords,
     }
 

@@ -233,17 +233,6 @@ def _fold(points) -> dict:
     return folded
 
 
-def _fibration_terms(points, rs: RootSystem, lam_labels, k: int):
-    """RatExpTerms of the residue integrand.  A fixed point F and a Weyl
-    element w contribute phase k(mu(F) - w Lambda), numerator the
-    degree-truncated product of the orbit factor prod(1 - e^{-<w gamma,X>})
-    with the tangent Todd units at F, and denominators the tangent weights
-    at F.  The nonzero contributions are summed per (phase, tangent-weight
-    multiset), one term per sum.  All points have one dimension, so one
-    truncation degree serves them all."""
-    return _folded_terms(_fold(points), rs, vec(lam_labels), k)
-
-
 @lru_cache(maxsize=1024)
 def _todd_factor(t: Vec, cap: int) -> TruncatedSeries:
     """The Todd unit <t,X> / (1 - e^{-<t,X>}) up to degree cap."""
@@ -275,8 +264,15 @@ def _tangent_products(rs: RootSystem, tangent: tuple[Vec, ...]):
     return canon, tuple((orbit * unit).as_polynomial() for orbit in _orbit_factors(rs, cap))
 
 
-def _folded_terms(folded: dict, rs: RootSystem, lam: Vec, k: int):
-    """_fibration_terms on folded points, one phase loop per key."""
+def _fibration_terms(folded: dict, rs: RootSystem, lam: Vec, k: int):
+    """RatExpTerms of the residue integrand, from points folded by _fold,
+    one phase loop per key.  A fixed point F and a Weyl element w
+    contribute phase k(mu(F) - w Lambda), numerator the degree-truncated
+    product of the orbit factor prod(1 - e^{-<w gamma,X>}) with the
+    tangent Todd units at F, and denominators the tangent weights at F.
+    The nonzero contributions are summed per (phase, tangent-weight
+    multiset), one term per sum.  All points have one dimension, so one
+    truncation degree serves them all."""
     kw_lam = [vec(k * c for c in w.act(lam)) for w in enumerate_weyl_group(rs)]
     groups: dict = {}
     for (moment, tangent), (_, factor) in folded.items():
@@ -306,9 +302,10 @@ def _check_proven(rs: RootSystem) -> None:
                                  % (" and ".join(PROVEN_GROUPS), rs.label))
 
 
-def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> tuple[Fraction, int]:
+def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> Fraction:
     """Iterated residue of the fibration integrand, before the constant
-    det(Cartan) / |W|; returns (value, retry attempts used)."""
+    det(Cartan) / |W|.  On A1 and A2 it has at most two variables, where
+    res_cone never re-draws a frame, so a genericity failure is final."""
     _check_proven(rs)
     if k < 1:
         raise ValueError("the residue route needs k >= 1, got %s" % k)
@@ -353,12 +350,12 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> tuple[F
                                          % vec_str(t))
     _check_regularity(firsts, rs, lam)
 
-    terms = _folded_terms(folded, rs, lam, k)
+    terms = _fibration_terms(folded, rs, lam, k)
     weights = list(dict.fromkeys(list(tangents) + list(rs.positive_roots)))
     phases = [t.phase for t in terms if any(c != 0 for c in t.phase)]
     cone = build_cone(weights, _generic_direction(weights + phases, rs.rank))
     try:
-        return res_cone(terms, cone)
+        return res_cone(terms, cone)[0]
     except GenericityError as exc:
         # xi is generic against every nonzero phase and proportional forms
         # are merged, so only a phase on a wall can fail the residue
@@ -390,7 +387,7 @@ def fibration_rr_residue(points, rs: RootSystem, lam_labels, k: int, *,
     chambers that meet at a wall, is refused."""
     registry = registry if registry is not None else CalibrationRegistry()
     points = tuple(points)
-    raw, _ = raw_fibration_residue(points, rs, lam_labels, k)
+    raw = raw_fibration_residue(points, rs, lam_labels, k)
     value = registry.constant_for(rs, len(points[0].tangent_weights)) * raw
     if value.denominator != 1:
         raise SingularValueError(

@@ -250,23 +250,21 @@ def _perturbed_coords(base: Mat, attempt: int, seed: int) -> Mat:
 
 
 def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
-             seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES) -> tuple[Fraction, int]:
+             seed: int = DEFAULT_SEED) -> tuple[Fraction, int]:
     """Iterated residue of a sum of terms over the cone.
 
     Applies the one-variable residue innermost in the last coordinate,
     then outward, and multiplies by the Jacobian |det coords| so the
     result does not depend on the admissible coordinate choice.  On a
     genericity failure in three or more variables the first n-1 coordinate
-    vectors are re-drawn deterministically from the seed, up to `retries`
-    times; in one or two variables the first failure is final.  A frame
-    that is the identity matrix (as on every rank-1 fibration) uses the
-    merged terms as they are: they are canonical, so pulling them back would
-    only rebuild equal terms.
+    vectors are re-drawn deterministically from the seed, up to
+    DEFAULT_RETRIES times; in one or two variables the first failure is
+    final.  A frame that is the identity matrix (as on every rank-1
+    fibration) uses the merged terms as they are: they are canonical, so
+    pulling them back would only rebuild equal terms.
 
-    Returns (value, attempts_used).
+    Returns (value, re-drawn frames used).
     """
-    if retries < 0:
-        raise ValueError("retry limit must be >= 0, got %d" % retries)
     if not terms:
         return Fraction(0), 0
     n = terms[0].num_vars
@@ -283,7 +281,7 @@ def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
     terms = merge_terms(terms)
     failure: Exception | None = None
     tried = 0
-    for attempt in range(retries + 1):
+    for attempt in range(DEFAULT_RETRIES + 1):
         frame = _perturbed_coords(base, attempt, seed)
         try:
             work = terms if frame == identity(n) else [t.pull_back(frame) for t in terms]

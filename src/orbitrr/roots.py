@@ -142,12 +142,6 @@ class RootSystem:
         return tuple(tuple(int(j == k) - int(k == i) * self.simple_roots[i][j]
                            for k in range(self.rank)) for j in range(self.rank))
 
-    def coroot_matrix(self, w: WeylElement) -> Mat:
-        """Matrix of w acting on coroot-basis coordinates of t (integer
-        entries): the transpose of the label matrix of w^-1, since the
-        label pairing <mu, X> is invariant."""
-        return tuple(zip(*mat_inv(w.matrix)))
-
 
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system of the given Cartan type.
@@ -249,10 +243,3 @@ def enumerate_weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
         if mat_det(w.matrix) != w.sign:
             raise ConfigurationError("sign/determinant mismatch in %s" % rs.label)
     return tuple(sorted(seen.values(), key=lambda e: (e.length, e.word)))
-
-
-def weyl_act(w: WeylElement, v: Vec) -> Vec:
-    """Apply a Weyl element to a weight given by its Dynkin labels."""
-    if len(v) != len(w.matrix):
-        raise ValueError("dimension mismatch")
-    return w.act(vec(v))

@@ -106,17 +106,6 @@ def test_golden_outputs(capsys, golden, argv):
     assert out == (GOLDEN / golden).read_text()
 
 
-def test_jk_residue_retry_limit(capsys):
-    # a limit of 0 is one attempt in the given frame; a negative one is an input error
-    argv = ["jk-residue", "--input", str(FIXTURES / "jk_chamber_problem.json"), "--retries"]
-    code, out = run(capsys, *argv, "0")
-    assert code == 0 and out == (GOLDEN / "jk_chamber.json").read_text()
-    code = main(argv + ["-1"])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err.startswith("input error:") and "retry limit" in captured.err
-
-
 def test_reports_are_byte_identical_across_runs(capsys):
     argv = ["fibration", "--weight", "1", "--k", "2",
             "--fixture", str(FIXTURES / "su2_three_spheres.json"),
@@ -129,9 +118,10 @@ def test_reports_are_byte_identical_across_runs(capsys):
 
 
 def test_seed_flag_and_env(capsys, monkeypatch):
+    # the seed comes from --seed or the built-in default, never the environment
     monkeypatch.setenv("ORBITRR_SEED", "99")
     _, out = run(capsys, "dim", "--group", "A1", "--weight", "1")
-    assert json.loads(out)["seed"] == 99
+    assert json.loads(out)["seed"] == 20270614
     _, out = run(capsys, "--seed", "7", "dim", "--group", "A1", "--weight", "1")
     assert json.loads(out)["seed"] == 7
 
@@ -147,6 +137,7 @@ def test_exit_code_input_error(capsys):
     ["dim", "--group", "A1"],
     ["dim", "--group", "A1", "--weight", "1", "--bogus"],
     ["rr-orbit", "--group", "A1", "--weight", "1", "--k", "x"],
+    ["jk-residue", "--retries", "0", "--input", str(FIXTURES / "jk_chamber_problem.json")],
 ])
 def test_usage_errors_are_input_errors(capsys, argv):
     # argparse's own exit 2 would read as a genericity failure
@@ -155,14 +146,6 @@ def test_usage_errors_are_input_errors(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 1 and captured.out == ""
     assert "input error:" in captured.err
-
-
-def test_malformed_seed_variable_is_an_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("ORBITRR_SEED", "abc")
-    code = main(["dim", "--group", "A1", "--weight", "1"])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err.startswith("input error:") and "ORBITRR_SEED" in captured.err
 
 
 def test_zero_denominator_weight_is_an_input_error(capsys):
@@ -305,10 +288,14 @@ def test_verify_single_suite(capsys):
 
 
 def test_fibration_group_mismatch(capsys):
-    code, _ = run(capsys, "fibration", "--group", "A2", "--weight", "1", "--k", "1",
-                  "--fixture", str(FIXTURES / "su2_three_spheres.json"),
-                  "--route", "residue")
-    assert code == 1
+    # the fixture names the group; fibration takes no --group of its own
+    for group in ("A2", "A1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["fibration", "--group", group, "--weight", "1", "--k", "1",
+                  "--fixture", str(FIXTURES / "su2_three_spheres.json"), "--route", "residue"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert "unrecognized arguments: --group" in captured.err
 
 
 def _residue_problem(**changes):
@@ -319,6 +306,18 @@ def _residue_problem(**changes):
     doc["terms"][0].update(term)
     doc.update(changes)
     return doc
+
+
+def _without(doc, key, entry=None):
+    """`doc` without `key`, or without `key` in the first entry of the list
+    field `entry`."""
+    doc = json.loads(json.dumps(doc))
+    del (doc[entry][0] if entry else doc)[key]
+    return doc
+
+
+_FIXED_POINTS = {"group": "A1",
+                 "fixed_points": [{"label": "p", "moment": ["1"], "tangent_weights": [["2"]]}]}
 
 
 def _base_oracle(**changes):
@@ -375,6 +374,21 @@ def _base_oracle(**changes):
      "repeated in 'num'"),
     ("base", _base_oracle(pairing=[[[0, 0], "1"], [[0, 0], "5"]]), "repeated in 'pairing'"),
     ("base", _base_oracle(todd=[[[0, 0], "1"], [[0, 0], "1"]]), "repeated in 'todd'"),
+    ("jk-residue", _residue_problem(xi=["1", "-1"]), "xi pairs to zero with weight 1,1"),
+    ("fibration", _without(_FIXED_POINTS, "group"), "fixed-point data has no field 'group'"),
+    ("fibration", _without(_FIXED_POINTS, "fixed_points"),
+     "fixed-point data has no field 'fixed_points'"),
+    ("fibration", _without(_FIXED_POINTS, "moment", "fixed_points"),
+     "fixed point 0 has no field 'moment'"),
+    ("fibration", _without(_FIXED_POINTS, "tangent_weights", "fixed_points"),
+     "fixed point 0 has no field 'tangent_weights'"),
+    ("jk-residue", _without(_residue_problem(), "vars"), "residue problem has no field 'vars'"),
+    ("jk-residue", _without(_residue_problem(), "xi"), "residue problem has no field 'xi'"),
+    ("jk-residue", _without(_residue_problem(), "phase", "terms"), "term 0 has no field 'phase'"),
+    ("jk-residue", _without(_residue_problem(), "dens", "terms"), "term 0 has no field 'dens'"),
+    ("base", _without(_base_oracle(), "group"), "base oracle has no field 'group'"),
+    ("base", _without(_base_oracle(), "top_degree"), "base oracle has no field 'top_degree'"),
+    ("base", _without(_base_oracle(), "todd"), "base oracle has no field 'todd'"),
 ], ids=["scalar-moment", "top-level-list", "short-phase", "non-spanning-denominators",
         "non-object-fixed-point", "number-fixed-points", "string-fixed-points",
         "number-group", "number-terms", "number-term", "number-dens", "number-num",
@@ -383,7 +397,10 @@ def _base_oracle(**changes):
         "short-todd-monomial", "zero-denominator-moment", "zero-denominator-xi",
         "singular-coords", "negative-num-exponent", "negative-todd-exponent",
         "negative-pairing-exponent", "repeated-num-monomial", "repeated-pairing-monomial",
-        "repeated-todd-monomial"])
+        "repeated-todd-monomial", "degenerate-xi", "missing-fixture-group",
+        "missing-fixed-points", "missing-moment", "missing-tangent-weights", "missing-vars",
+        "missing-xi", "missing-phase", "missing-dens", "missing-base-group",
+        "missing-top-degree", "missing-todd"])
 def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc, fragment):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -10,7 +10,7 @@ from orbitrr.errors import (ConfigurationError, DegenerateOrbitError, Inadmissib
 from orbitrr.jsonio import fixture_path, load_fixed_points, parse_fixed_points
 from orbitrr.linalg import identity
 from orbitrr.localization import (BaseIntersectionOracle, CalibrationRegistry,
-                                  FixedPointDatum, _fibration_terms, _generic_direction,
+                                  FixedPointDatum, _fibration_terms, _fold, _generic_direction,
                                   _orbit_factors, _tangent_products, _todd_factor,
                                   fibration_rr_base, fibration_rr_residue,
                                   product_orbit_fixed_data, raw_fibration_residue,
@@ -208,8 +208,8 @@ def test_symplectic_factor_scales_contributions(a1):
     points = product_orbit_fixed_data(a1, [(1,)] * 3)
     doubled = tuple(FixedPointDatum(pt.label, pt.moment, pt.tangent_weights, F(2))
                     for pt in points)
-    raw1, _ = raw_fibration_residue(points, a1, (1,), 2)
-    raw2, _ = raw_fibration_residue(doubled, a1, (1,), 2)
+    raw1 = raw_fibration_residue(points, a1, (1,), 2)
+    raw2 = raw_fibration_residue(doubled, a1, (1,), 2)
     assert raw2 == 2 * raw1
 
 
@@ -220,12 +220,12 @@ def test_rank_two_constant_is_a_signature_invariant(a2):
     rho_pair = product_orbit_fixed_data(a2, [(1, 1), (1, 1)])
     half_dim = len(rho_pair[0].tangent_weights)
     expected = tensor_multiplicity(a2, [(3, 3), (3, 3)], (6, 3))
-    raw, _ = raw_fibration_residue(rho_pair, a2, (2, 1), 3)
+    raw = raw_fibration_residue(rho_pair, a2, (2, 1), 3)
     assert registry.constant_for(a2, half_dim) * raw == expected
     mixed = product_orbit_fixed_data(a2, [(2, 1), (1, 2)])
     assert len(mixed[0].tangent_weights) == half_dim
     oracle = tensor_multiplicity(a2, [(6, 3), (3, 6)], (3, 6))
-    raw, _ = raw_fibration_residue(mixed, a2, (1, 2), 3)
+    raw = raw_fibration_residue(mixed, a2, (1, 2), 3)
     assert registry.constant_for(a2, half_dim) * raw == oracle
     assert registry.constants == {("A2", half_dim): F(1, 2)}
     assert fibration_rr_residue(mixed, a2, (1, 2), 3, registry=registry) == oracle == 3
@@ -480,7 +480,7 @@ def test_grouped_assembly_matches_the_literal_one(group, factors, symplectic, la
         points = _with_factors(points, symplectic)
     lam = tuple(F(c) for c in lam)
     reference = _reference_terms(points, rs, lam, k)
-    grouped = _fibration_terms(points, rs, lam, k)
+    grouped = _fibration_terms(_fold(points), rs, lam, k)
     assert len(grouped) < len(reference)
 
     def by_signature(terms):
@@ -494,7 +494,7 @@ def test_grouped_assembly_matches_the_literal_one(group, factors, symplectic, la
     weights += [w.act(g) for w in enumerate_weyl_group(rs) for g in rs.positive_roots]
     phases = [t.phase for t in reference if any(t.phase)]
     cone = build_cone(weights, _generic_direction(weights + phases, rs.rank))
-    assert res_cone(reference, cone) == raw_fibration_residue(points, rs, lam, k)
+    assert res_cone(reference, cone)[0] == raw_fibration_residue(points, rs, lam, k)
 
 
 def test_grouped_assembly_matches_the_literal_one_on_a_warm_memo():
@@ -503,7 +503,7 @@ def test_grouped_assembly_matches_the_literal_one_on_a_warm_memo():
     # still match the literal assembly
     for group, factors, symplectic, lam, k, first in GROUPED_CASES:
         rs = build_root_system(group[0], int(group[1]))
-        _fibration_terms(product_orbit_fixed_data(rs, factors)[:first], rs, lam, k)
+        _fibration_terms(_fold(product_orbit_fixed_data(rs, factors)[:first]), rs, lam, k)
     for case in GROUPED_CASES[::-1]:
         test_grouped_assembly_matches_the_literal_one(*case)
 
@@ -531,7 +531,7 @@ def test_assembly_memos_are_bounded(memo):
 def test_terms_pull_back_through_the_identity_unchanged(name, lam, k):
     # res_cone skips the identity frame, which must leave every term as it is
     rs, points = load_fixed_points(str(fixture_path(name)))
-    terms = _fibration_terms(points, rs, lam, k)
+    terms = _fibration_terms(_fold(points), rs, lam, k)
     assert terms and all(t.pull_back(identity(rs.rank)) == t for t in terms)
 
 
@@ -592,7 +592,7 @@ def test_denominators_canonicalised_once_per_tangent_multiset(group, factors, sy
     if symplectic is not None:
         points = _with_factors(points, symplectic)
     lam = tuple(F(c) for c in lam)
-    terms = _fibration_terms(points, rs, lam, k)
+    terms = _fibration_terms(_fold(points), rs, lam, k)
     assert len({tuple(sorted(pt.tangent_weights)) for pt in points}) < len(terms)
     assert terms == _terms_by_make_term(points, rs, lam, k)
 

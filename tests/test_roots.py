@@ -5,8 +5,7 @@ import pytest
 
 from orbitrr.errors import ConfigurationError
 from orbitrr.linalg import mat_det, vec
-from orbitrr.roots import (build_root_system, enumerate_weyl_group, parse_group_label,
-                           weyl_act, weyl_order)
+from orbitrr.roots import build_root_system, enumerate_weyl_group, parse_group_label, weyl_order
 
 
 @pytest.mark.parametrize("family,rank,n_pos", [
@@ -98,8 +97,8 @@ def test_weyl_act_reflection_examples():
     s = enumerate_weyl_group(rs)[1]
     alpha = rs.simple_roots[0]
     omega = rs.fundamental_weights[0]
-    assert weyl_act(s, alpha) == tuple(-c for c in alpha)
-    assert weyl_act(s, omega) == tuple(-c for c in omega)
+    assert s.act(alpha) == tuple(-c for c in alpha)
+    assert s.act(omega) == tuple(-c for c in omega)
 
 
 def test_weyl_act_homomorphism_and_pairing_preservation():
@@ -114,8 +113,8 @@ def test_weyl_act_homomorphism_and_pairing_preservation():
                     if w.matrix == tuple(tuple(sum(w1.matrix[r][k] * w2.matrix[k][c]
                                                    for k in range(2)) for c in range(2))
                                          for r in range(2)))
-        assert weyl_act(prod, v) == weyl_act(w1, weyl_act(w2, v))
-        assert rs.pairing(weyl_act(w1, u), weyl_act(w1, v)) == rs.pairing(u, v)
+        assert prod.act(v) == w1.act(w2.act(v))
+        assert rs.pairing(w1.act(u), w1.act(v)) == rs.pairing(u, v)
 
 
 def test_pairing_conventions():
