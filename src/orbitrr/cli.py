@@ -20,8 +20,8 @@ from .errors import ExactDivisionError, GenericityError, InternalInconsistencyEr
 from .jsonio import (canonical_json, fraction_to_str, load_base_oracle, load_fixed_points,
                      load_residue_problem, parse_weight_labels)
 from .linalg import vec_str
-from .localization import (CalibrationRegistry, fibration_rr_base, fibration_rr_residue,
-                           rr_orbit_fixedpoint)
+from .localization import (CalibrationRegistry, _fold, fibration_rr_base, fibration_rr_residue,
+                           product_orbit_fixed_data, rr_orbit_fixedpoint)
 from .multiplicities import tensor_multiplicity
 from .residues import DEFAULT_SEED, build_cone, res_cone
 from .roots import parse_group_label
@@ -93,16 +93,24 @@ def _cmd_jk_residue(args) -> int:
     return 0
 
 
+def _factor_sums(points) -> dict:
+    """(moment, tangent multiset) -> summed symplectic factor of the points."""
+    return {key: factor for key, (_, factor) in _fold(points).items()}
+
+
 def _cmd_fibration(args) -> int:
     rs, points = load_fixed_points(args.fixture)
     lam = parse_weight_labels(args.weight)
     doc = {"group": rs.label, "weight": args.weight, "k": args.k, "route": args.route,
            "seed": args.seed}
     if args.oracle_factors:
-        factors = [tuple(args.k * c for c in parse_weight_labels(part))
-                   for part in args.oracle_factors.split(";")]
-        target = tuple(args.k * c for c in lam)
-        doc["oracle"] = tensor_multiplicity(rs, factors, target)
+        factors = [parse_weight_labels(part) for part in args.oracle_factors.split(";")]
+        # the oracle knows products of orbits only: it must be this fixture's
+        if _factor_sums(points) != _factor_sums(product_orbit_fixed_data(rs, factors)):
+            raise ValueError("--oracle-factors %s do not describe the fixture's fixed points"
+                             % args.oracle_factors)
+        doc["oracle"] = tensor_multiplicity(rs, [tuple(args.k * c for c in f) for f in factors],
+                                            tuple(args.k * c for c in lam))
     if args.route in ("residue", "both"):
         registry = CalibrationRegistry()
         value = fibration_rr_residue(points, rs, lam, args.k, registry=registry)
@@ -191,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", choices=("base", "residue", "both"), default="both")
     p.add_argument("--oracle-factors", dest="oracle_factors",
                    help="semicolon-separated factor weights for the tensor "
-                        "oracle value, e.g. '1;1;1' for a product of orbits")
+                        "oracle value, e.g. '1;1;1' for a product of orbits; "
+                        "the product must have the fixture's fixed points")
 
     p = add("verify", _cmd_verify, help="run the acceptance suites")
     p.add_argument("--suite", default="all",

@@ -24,7 +24,8 @@ def fraction_to_str(x) -> str:
 
 
 def parse_fraction(s) -> Fraction:
-    if isinstance(s, int):
+    # a JSON boolean is an int to Python, but never a number here
+    if type(s) is int:
         return Fraction(s)
     if isinstance(s, str):
         try:
@@ -72,13 +73,13 @@ def _pair_list(obj: dict, key: str, what: str) -> list:
 
 
 def _parse_int(value, what: str, least: int) -> int:
-    if not isinstance(value, int) or value < least:
+    if type(value) is not int or value < least:
         raise ValueError("%s must be an integer >= %d, not %r" % (what, least, value))
     return value
 
 
 def _parse_monomial(mono) -> tuple[int, ...]:
-    if not isinstance(mono, list) or not all(isinstance(e, int) for e in mono):
+    if not isinstance(mono, list) or not all(type(e) is int for e in mono):
         raise ValueError("expected a list of integer exponents, got %r" % (mono,))
     if any(e < 0 for e in mono):
         raise ValueError("exponents must be nonnegative, got %r" % (mono,))
@@ -101,7 +102,10 @@ def _parse_group(doc: dict, what: str) -> RootSystem:
 
 def _load_object(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply" % path) from None
     if not isinstance(doc, dict):
         raise ValueError("%s: top level must be a JSON object, not %s"
                          % (path, type(doc).__name__))
@@ -121,6 +125,9 @@ def canonical_json(obj) -> str:
 # fixed-point data files
 
 
+_POINT_FIELDS = {"label", "moment", "tangent_weights", "symplectic_factor"}
+
+
 def parse_fixed_points(doc: dict) -> tuple[RootSystem, tuple[FixedPointDatum, ...]]:
     what = "fixed-point data"
     rs = _parse_group(doc, what)
@@ -128,17 +135,16 @@ def parse_fixed_points(doc: dict) -> tuple[RootSystem, tuple[FixedPointDatum, ..
     for entry in _list_field(doc, "fixed_points", what):
         if not isinstance(entry, dict):
             raise ValueError("fixed point %d must be an object, not %r" % (len(points), entry))
-        # "symplectic_exponent" accepted as an alias: for isolated fixed
-        # points the pairing value of the symplectic class is the only
-        # exact semantics, so both keys carry the same rational factor
-        factor = entry.get("symplectic_factor", entry.get("symplectic_exponent", 1))
         point = "fixed point %d" % len(points)
+        unknown = sorted(entry.keys() - _POINT_FIELDS)
+        if unknown:
+            raise ValueError("%s has unknown field %r" % (point, unknown[0]))
         points.append(FixedPointDatum(
             label=str(entry.get("label", "F%d" % len(points))),
             moment=_parse_covector(_field(entry, "moment", point), rs.rank, "moment"),
             tangent_weights=tuple(_parse_covector(w, rs.rank, "tangent weight")
                                   for w in _list_field(entry, "tangent_weights", point)),
-            symplectic_factor=parse_vector([factor])[0],
+            symplectic_factor=parse_vector([entry.get("symplectic_factor", 1)])[0],
         ))
     return rs, tuple(points)
 

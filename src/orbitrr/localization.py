@@ -8,22 +8,21 @@ Three routes live here, sharing only the root-system data:
   must vanish, or the sum has a pole at u = 1.
 * ``fibration_rr_residue``: the iterated-residue route for a fibration
   with fiber a coadjoint orbit, for A1 and A2 (the groups the tensor
-  oracle proves).  Its Todd factors are t / (1 - e^{-t}), one exact
-  division each, and the residues pull terms back by linear changes of
-  variables.  The fixed points are folded by (moment, tangent-weight
+  oracle proves).  The fixed points are folded by (moment, tangent-weight
   multiset), so checks, phases and cone run once per key, in integer
   Dynkin labels; the integrand sums the (key, Weyl element)
-  contributions per (phase, multiset).  The Todd units, orbit factors
-  and their products per multiset are pure, so they are memoised per
-  process in bounded caches keyed only by group and multiset.  The
-  constant of the residue theorem is derived, not fitted: det(Cartan) /
-  |W|, the 1/|W| of nonabelian localization times the order of the
-  centre, which acts trivially when every tangent weight lies in the
-  root lattice.  The route refuses other tangent weights, reduced
-  spaces of negative expected dimension, whose raw residue is 0
-  whatever the true value is, a non-dominant Lambda, and a Lambda on a
-  wall, where the residue fails or averages two chambers into a
-  non-integer.
+  contributions per (phase, multiset).  Each contribution's orbit factor
+  times Todd units t / (1 - e^{-t}) is one exponential times the Todd
+  polynomial of the sign-normalised multiset; the polynomials and the
+  products per multiset are pure, so they are memoised per process in
+  bounded caches keyed only by group and multiset.  The constant of the
+  residue theorem is derived, not fitted: det(Cartan) / |W|, the 1/|W|
+  of nonabelian localization times the order of the centre, which acts
+  trivially when every tangent weight lies in the root lattice.  The
+  route refuses other tangent weights, reduced spaces of negative
+  expected dimension, whose raw residue is 0 whatever the true value
+  is, a non-dominant Lambda, and a Lambda on a wall, where the residue
+  fails or averages two chambers into a non-integer.
 * ``fibration_rr_base``: the base-integral route, pairing the character
   class (expressed in invariant generators) against an intersection
   oracle for the reduced space at zero.
@@ -41,7 +40,7 @@ from .characters import character_series, check_weight
 from .errors import (ConfigurationError, DegenerateOrbitError, GenericityError,
                      InadmissibleInputError, InternalInconsistencyError, SingularValueError)
 from .invariants import express_invariant, fundamental_degrees
-from .linalg import Vec, mat_det, vec, vec_str
+from .linalg import Vec, mat_det, vec, vec_str, vec_sub
 from .residues import RatExpTerm, build_cone, canonical_dens, res_cone
 from .roots import RootSystem, WeylElement, enumerate_weyl_group
 from .series import TruncatedSeries, positive_root_product
@@ -233,35 +232,36 @@ def _fold(points) -> dict:
     return folded
 
 
-@lru_cache(maxsize=1024)
-def _todd_factor(t: Vec, cap: int) -> TruncatedSeries:
-    """The Todd unit <t,X> / (1 - e^{-<t,X>}) up to degree cap."""
-    one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
-    return TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
-
-
-@lru_cache(maxsize=64)
-def _orbit_factors(rs: RootSystem, cap: int) -> tuple[TruncatedSeries, ...]:
-    """Per Weyl element w, the orbit factor prod(1 - e^{-<w gamma,X>}) up to
-    degree cap, by the Weyl denominator identity the one exponential sum
-    sign(w) sum_u sign(u) e^{<u rho - w rho, X>}."""
-    rho_images = [(w.act(rs.rho), w.sign) for w in enumerate_weyl_group(rs)]
-    return tuple(TruncatedSeries.exp_sum([(tuple(a - b for a, b in zip(u_rho, w_rho)),
-                                           w_sign * u_sign) for u_rho, u_sign in rho_images], cap)
-                 for w_rho, w_sign in rho_images)
+@lru_cache(maxsize=256)
+def _todd_polynomial(rs: RootSystem, positive: tuple[Vec, ...]):
+    """For a sorted multiset of weights with positive first nonzero entry: its
+    canonical denominators and, scale absorbed, prod(1 - e^{-<gamma,X>}) =
+    sum_u sign(u) e^{<u rho - rho,X>} times the Todd units to degree |positive| - rank."""
+    cap = len(positive) - rs.rank
+    canon, scale = canonical_dens([(t, 1) for t in positive])
+    poly = TruncatedSeries.exp_sum([(vec_sub(w.act(rs.rho), rs.rho), w.sign)
+                                    for w in enumerate_weyl_group(rs)], cap) * (1 / scale)
+    for t in positive:
+        one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
+        poly = poly * TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
+    return canon, poly.as_polynomial()
 
 
 @lru_cache(maxsize=256)
 def _tangent_products(rs: RootSystem, tangent: tuple[Vec, ...]):
     """For one sorted tangent-weight multiset: its canonical denominators
-    and, per Weyl element, the polynomial orbit factor times Todd units,
-    with the denominators' scale absorbed, up to degree len(tangent) - rank."""
-    cap = len(tangent) - rs.rank
-    canon, scale = canonical_dens([(t, 1) for t in tangent])
-    unit = TruncatedSeries.constant(1 / scale, rs.rank, cap)
-    for t in tangent:
-        unit = unit * _todd_factor(t, cap)
-    return canon, tuple((orbit * unit).as_polynomial() for orbit in _orbit_factors(rs, cap))
+    and, per Weyl element w, the orbit factor prod(1 - e^{-<w gamma,X>})
+    times the Todd units, scale absorbed, up to degree len(tangent) - rank:
+    by the Weyl denominator identity and Todd(-t) = e^{-t} Todd(t), sign(w)
+    (-1)^f e^{<s,X>} times the Todd polynomial of the multiset with its f
+    weights of negative first nonzero entry negated, s = rho - w rho + their sum."""
+    flipped = [t for t in tangent if next(c for c in t if c) < 0]
+    positive = sorted(tuple(-c for c in t) if t in flipped else t for t in tangent)
+    canon, poly = _todd_polynomial(rs, tuple(positive))
+    shift, sign = [sum(c) for c in zip(rs.rho, *flipped)], (-1) ** len(flipped)
+    return canon, tuple((TruncatedSeries.exp_sum([(vec_sub(shift, w.act(rs.rho)), w.sign * sign)],
+                                                 len(tangent) - rs.rank) * poly).as_polynomial()
+                        for w in enumerate_weyl_group(rs))
 
 
 def _fibration_terms(folded: dict, rs: RootSystem, lam: Vec, k: int):
@@ -368,7 +368,7 @@ class CalibrationRegistry:
     dimension of the manifold).  Each is derived from the root system as
     det(Cartan) / |W|."""
 
-    constants: dict[tuple[str, int], Fraction] = field(default_factory=dict)
+    constants: dict[tuple[str, int], Fraction] = field(default_factory=dict, init=False)
 
     def constant_for(self, rs: RootSystem, half_dim: int) -> Fraction:
         _check_proven(rs)

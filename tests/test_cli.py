@@ -61,18 +61,21 @@ def test_fixture_loading():
     assert problem["vars"] == 2 and len(problem["terms"]) == 1
 
 
-def test_symplectic_exponent_key_is_accepted_as_alias(tmp_path):
-    doc = {
-        "group": "A1",
-        "fixed_points": [
-            {"label": "p", "moment": ["1"], "tangent_weights": [["2"]],
-             "symplectic_exponent": "3/2"},
-        ],
-    }
-    path = tmp_path / "alias.json"
+@pytest.mark.parametrize("key", ["symplectic_factr", "symplectic_exponent"])
+def test_unknown_fixed_point_field_is_refused(capsys, tmp_path, key):
+    # a misspelt key, or the retired alias, used to be ignored: the point's
+    # factor read as 1 and the report exited 0
+    doc = json.loads((FIXTURES / "su2_three_spheres.json").read_text())
+    doc["fixed_points"][0][key] = "2"
+    path = tmp_path / "typo.json"
     path.write_text(json.dumps(doc))
-    _, points = load_fixed_points(str(path))
-    assert points[0].symplectic_factor == F(3, 2)
+    code = main(["fibration", "--weight", "1", "--k", "1", "--fixture", str(path),
+                 "--route", "residue"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "fixed point 0 has unknown field %r" % key in captured.err
+    with pytest.raises(ValueError, match="unknown field"):
+        parse_fixed_points(doc)
 
 
 @pytest.mark.parametrize("golden,argv", [
@@ -420,3 +423,59 @@ def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc, fragm
     assert "Traceback" not in captured.err and captured.out == ""
     if fragment is not None:
         assert fragment in captured.err
+
+
+@pytest.mark.parametrize("command,doc,fragment", [
+    ("fibration", {"group": "A1", "fixed_points": [
+        {"label": "p", "moment": [True], "tangent_weights": [["2"]]}]}, "got True"),
+    ("fibration", {"group": "A1", "fixed_points": [
+        {"label": "p", "moment": ["1"], "tangent_weights": [["2"]], "symplectic_factor": True}]},
+     "got True"),
+    ("jk-residue", _residue_problem(vars=True), "vars must be an integer"),
+    ("jk-residue", _residue_problem(term={"num": [[[True, 0], "1"]]}), "integer exponents"),
+    ("jk-residue", _residue_problem(term={"dens": [[["1", "0"], True], [["0", "1"], 1]]}),
+     "multiplicity must be an integer"),
+    ("base", _base_oracle(top_degree=False), "top_degree must be an integer"),
+], ids=["moment", "symplectic-factor", "vars", "num-exponent", "multiplicity", "top-degree"])
+def test_json_booleans_are_not_numbers(capsys, tmp_path, command, doc, fragment):
+    # Python reads true as 1: "vars": true used to act as 1 variable
+    test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc, fragment)
+
+
+@pytest.mark.parametrize("flag", ["--fixture", "--base-fixture", "--input"])
+def test_deeply_nested_input_is_an_input_error(capsys, tmp_path, flag):
+    # the JSON parser used to end in a RecursionError traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    if flag == "--input":
+        argv = ["jk-residue", "--input", str(path)]
+    else:
+        fixtures = {"--fixture": str(FIXTURES / "su2_three_spheres.json"),
+                    "--base-fixture": str(FIXTURES / "su2_point_base.json"), flag: str(path)}
+        argv = ["fibration", "--weight", "1", "--k", "1", "--route", "base"]
+        argv += [part for item in fixtures.items() for part in item]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "input error: %s: JSON nested too deeply\n" % path
+
+
+@pytest.mark.parametrize("factors", ["1;1", "3;1;1", "1;1;1;1", "1;2;1"])
+def test_oracle_factors_must_describe_the_fixture(capsys, factors):
+    # the tensor oracle used to print its value for any factors, beside a
+    # residue of another manifold: "1;1" printed "oracle":0 beside "residue":"2"
+    code = main(["fibration", "--weight", "1", "--k", "1", "--route", "residue",
+                 "--fixture", str(FIXTURES / "su2_three_spheres.json"),
+                 "--oracle-factors", factors])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "--oracle-factors %s do not describe the fixture" % factors in captured.err
+
+
+def test_oracle_factors_describe_the_fixture_in_any_order(capsys):
+    # moments add and tangent weights are a multiset, so the order is free
+    code, out = run(capsys, "fibration", "--weight", "2", "--k", "2", "--route", "residue",
+                    "--fixture", str(FIXTURES / "su2_mixed_spins.json"),
+                    "--oracle-factors", "2;1;1")
+    assert code == 0
+    assert out == (GOLDEN / "fibration_a1_mixed_spins_k2.json").read_text()

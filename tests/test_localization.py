@@ -11,7 +11,7 @@ from orbitrr.jsonio import fixture_path, load_fixed_points, parse_fixed_points
 from orbitrr.linalg import identity
 from orbitrr.localization import (BaseIntersectionOracle, CalibrationRegistry,
                                   FixedPointDatum, _fibration_terms, _fold, _generic_direction,
-                                  _orbit_factors, _tangent_products, _todd_factor,
+                                  _tangent_products, _todd_polynomial,
                                   fibration_rr_base, fibration_rr_residue,
                                   product_orbit_fixed_data, raw_fibration_residue,
                                   rr_leading_coefficient, rr_orbit_fixedpoint,
@@ -201,6 +201,13 @@ def test_constant_is_det_cartan_over_weyl_order(a1, a2):
     # memoised as Fractions, which verify's report prints
     assert len(registry.constants) == 7
     assert all(type(c) is F for c in registry.constants.values())
+
+
+def test_calibration_constants_cannot_be_injected():
+    # the constants are derived, never supplied: an injected one would
+    # scale every residue the registry serves
+    with pytest.raises(TypeError):
+        CalibrationRegistry(constants={("A1", 3): F(5)})
 
 
 def test_symplectic_factor_scales_contributions(a1):
@@ -521,9 +528,54 @@ def test_memoised_products_are_shared_unchanged(a1):
     assert [p.to_text() for p in entry[1]] == before
 
 
-@pytest.mark.parametrize("memo", [_todd_factor, _orbit_factors, _tangent_products])
+@pytest.mark.parametrize("memo", [_todd_polynomial, _tangent_products])
 def test_assembly_memos_are_bounded(memo):
     assert isinstance(memo.cache_info().maxsize, int)
+
+
+def _todd(t, cap):
+    one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
+    return TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
+
+
+@pytest.mark.parametrize("t", [(2,), (1,), (F(1, 2),), (2, -1), (1, 1), (1, 0), (F(1, 3), 2)],
+                         ids=["a1-root", "a1-weight", "half", "a2-root", "a2-root-sum",
+                              "a2-weight", "rational"])
+def test_todd_of_a_negated_weight(t):
+    # Todd(-t) = e^{-t} Todd(t), which lets the assembly negate weights
+    for cap in range(7):
+        neg = tuple(-c for c in t)
+        assert _todd(neg, cap) == TruncatedSeries.exp_linear(neg, cap) * _todd(t, cap)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
+def test_orbit_factor_is_one_exponential_times_the_weyl_denominator(label):
+    # prod(1 - e^{-w gamma}) = sign(w) e^{rho - w rho} prod(1 - e^{-gamma}), and
+    # prod(1 - e^{-gamma}) = sum_u sign(u) e^{u rho - rho}
+    rs = build_root_system(label[0], int(label[1]))
+    group = enumerate_weyl_group(rs)
+
+    def orbit_factor(w):
+        out = TruncatedSeries.constant(1, rs.rank, 8)
+        for g in rs.positive_roots:
+            out = out * (1 - TruncatedSeries.exp_linear(tuple(-c for c in w.act(g)), 8))
+        return out
+
+    base = orbit_factor(group[0])
+    assert base == TruncatedSeries.exp_sum(
+        [(tuple(a - b for a, b in zip(u.act(rs.rho), rs.rho)), u.sign) for u in group], 8)
+    for w in group:
+        shift = tuple(a - b for a, b in zip(rs.rho, w.act(rs.rho)))
+        assert orbit_factor(w) == TruncatedSeries.exp_linear(shift, 8) * base * w.sign
+
+
+def test_multisets_with_one_sign_normalised_form_share_a_todd_polynomial(a1):
+    # (-7, 3, 7) and (-7, -3, 7) both normalise to (3, 7, 7): the second
+    # multiset's products reuse the first one's Todd polynomial
+    hits = _todd_polynomial.cache_info().hits
+    canon, _ = _tangent_products(a1, ((-7,), (3,), (7,)))
+    assert _tangent_products(a1, ((-7,), (-3,), (7,)))[0] is canon
+    assert _todd_polynomial.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("name,lam,k", [("su2_mixed_spins.json", (2,), 2),
