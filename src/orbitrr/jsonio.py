@@ -55,6 +55,13 @@ def _field(obj: dict, key: str, what: str):
     return obj[key]
 
 
+def _refuse_unknown(obj: dict, fields: set, what: str) -> None:
+    """A misspelt key would otherwise be read as its field's default."""
+    unknown = sorted(obj.keys() - fields)
+    if unknown:
+        raise ValueError("%s has unknown field %r" % (what, unknown[0]))
+
+
 def _list_field(obj: dict, key: str, what: str) -> list:
     value = _field(obj, key, what)
     if not isinstance(value, list):
@@ -125,20 +132,16 @@ def canonical_json(obj) -> str:
 # fixed-point data files
 
 
-_POINT_FIELDS = {"label", "moment", "tangent_weights", "symplectic_factor"}
-
-
 def parse_fixed_points(doc: dict) -> tuple[RootSystem, tuple[FixedPointDatum, ...]]:
     what = "fixed-point data"
+    _refuse_unknown(doc, {"group", "fixed_points"}, what)
     rs = _parse_group(doc, what)
     points = []
     for entry in _list_field(doc, "fixed_points", what):
         if not isinstance(entry, dict):
             raise ValueError("fixed point %d must be an object, not %r" % (len(points), entry))
         point = "fixed point %d" % len(points)
-        unknown = sorted(entry.keys() - _POINT_FIELDS)
-        if unknown:
-            raise ValueError("%s has unknown field %r" % (point, unknown[0]))
+        _refuse_unknown(entry, {"label", "moment", "tangent_weights", "symplectic_factor"}, point)
         points.append(FixedPointDatum(
             label=str(entry.get("label", "F%d" % len(points))),
             moment=_parse_covector(_field(entry, "moment", point), rs.rank, "moment"),
@@ -159,6 +162,7 @@ def load_fixed_points(path) -> tuple[RootSystem, tuple[FixedPointDatum, ...]]:
 
 def parse_base_oracle(doc: dict) -> tuple[RootSystem, BaseIntersectionOracle]:
     what = "base oracle"
+    _refuse_unknown(doc, {"group", "generators", "top_degree", "pairing", "todd"}, what)
     rs = _parse_group(doc, what)
     generators = _pair_list(doc, "generators", what)
     oracle = BaseIntersectionOracle(
@@ -181,12 +185,14 @@ def load_base_oracle(path) -> tuple[RootSystem, BaseIntersectionOracle]:
 
 def parse_residue_problem(doc: dict) -> dict:
     what = "residue problem"
+    _refuse_unknown(doc, {"vars", "terms", "xi", "coords"}, what)
     num_vars = _parse_int(_field(doc, "vars", what), "vars", 1)
     terms: list[RatExpTerm] = []
     for t in _list_field(doc, "terms", what):
         if not isinstance(t, dict):
             raise ValueError("term %d must be an object, not %r" % (len(terms), t))
         term = "term %d" % len(terms)
+        _refuse_unknown(t, {"num", "phase", "dens"}, term)
         rows = _pair_list(t, "num", term) if "num" in t else [[[0] * num_vars, "1"]]
         num = TruncatedSeries(num_vars, _parse_table(rows, "num"), None)
         phase = _parse_covector(_field(t, "phase", term), num_vars, "phase")

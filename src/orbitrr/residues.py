@@ -16,10 +16,11 @@ guessed.  Terms with equal phase and denominators are merged before the
 rule is applied -- cancellations between fixed-point contributions are
 what keep honest wall configurations finite.
 
-A term is rewritten in new coordinates in one way, ``RatExpTerm.pull_back``:
-the frame change of ``res_cone`` and the evaluation at a pole (x_var :=
-the pole location, the other coordinates fixed) are both linear changes
-of variables.
+The residue at a pole of order m is one Taylor shift: the numerator is
+substituted once, x_var := x_var + b with b the pole location, which puts
+D^k q(b) / k! at x_var^k, and Leibniz's rule in closed form combines these
+with e^{pt} and the expansions of the other denominators.
+``RatExpTerm.pull_back`` serves the frame change of ``res_cone`` only.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .errors import ConvergenceError, GenericityError
 from .linalg import Mat, Vec, identity, mat_det, primitive_covector, vec_str
@@ -51,46 +52,24 @@ class RatExpTerm:
     phase: Vec
     dens: tuple[tuple[LinearForm, int], ...]
 
-    def scaled(self, c) -> "RatExpTerm":
-        return RatExpTerm(self.num_vars, self.numerator * Fraction(c), self.phase, self.dens)
-
     def signature(self):
         return (self.phase, self.dens)
 
-    def derivative(self, var: int) -> list["RatExpTerm"]:
-        """d/dx_var, as a list of terms in the same class."""
-        out = []
-        poly_part = self.numerator.diff(var) + self.numerator * self.phase[var]
-        if not poly_part.is_zero():
-            out.append(RatExpTerm(self.num_vars, poly_part, self.phase, self.dens))
-        for idx, (form, mult) in enumerate(self.dens):
-            a = form[var]
-            if a == 0:
-                continue
-            bumped = list(self.dens)
-            bumped[idx] = (form, mult + 1)
-            out.append(RatExpTerm(self.num_vars, self.numerator * (-mult * a),
-                                  self.phase, tuple(bumped)))
-        return out
-
     def pull_back(self, matrix: Mat) -> "RatExpTerm":
-        """The term after x_k := sum_i matrix[k][i] y_i: the phase and the
-        denominator forms pull back by the matrix, the numerator by linear
-        substitution.  Used both for the frame change of res_cone and to
-        evaluate at a pole location."""
-        n = self.num_vars
+        """The term after the frame change x_k := sum_i matrix[k][i] y_i:
+        the phase and the denominator forms pull back by the matrix, the
+        numerator by linear substitution."""
+        dens = [(_pull(form, matrix), mult) for form, mult in self.dens]
+        if any(not any(form) for form, _ in dens):
+            raise GenericityError("pole locations collide after substitution")
+        return make_term(self.num_vars, self.numerator.substitute_linear(matrix),
+                         _pull(self.phase, matrix), dens)
 
-        def pull(cov) -> Vec:
-            return tuple(sum(cov[k] * matrix[k][i] for k in range(n) if cov[k])
-                         for i in range(n))
 
-        dens = []
-        for form, mult in self.dens:
-            pulled = pull(form)
-            if all(c == 0 for c in pulled):
-                raise GenericityError("pole locations collide after substitution")
-            dens.append((pulled, mult))
-        return make_term(n, self.numerator.substitute_linear(matrix), pull(self.phase), dens)
+def _pull(cov, matrix: Mat) -> Vec:
+    """The covector cov after x_k := sum_i matrix[k][i] y_i."""
+    n = len(cov)
+    return tuple(sum(cov[k] * matrix[k][i] for k in range(n) if cov[k]) for i in range(n))
 
 
 def canonical_dens(dens) -> tuple[tuple[tuple[LinearForm, int], ...], Fraction]:
@@ -126,26 +105,61 @@ def merge_terms(terms: list[RatExpTerm]) -> list[RatExpTerm]:
     return [buckets[k] for k in order if not buckets[k].numerator.is_zero()]
 
 
+def _bumps(active: list, total: int):
+    """Vectors summing to `total`, zero where not `active`, lex descending."""
+    if not active:
+        if not total:
+            yield ()
+        return
+    for first in (range(total, -1, -1) if active[0] else (0,)):
+        for tail in _bumps(active[1:], total - first):
+            yield (first,) + tail
+
+
 def _residue_at_pole(term: RatExpTerm, var: int, pole_index: int) -> list[RatExpTerm]:
-    """Residue of `term` in x_var at the pole of the given denominator form,
-    via (1/(m-1)!) d^{m-1}/dz^{m-1} [(z-b)^m f] evaluated at z = b."""
-    form, mult = term.dens[pole_index]
-    a = form[var]
+    """Residue in x_var at the pole b(y) of the form a (x_var - b) of order m:
+    [t^(m-1)] q(b+t) e^{pt} / (a^m prod_j beta_j(b+t)^{m_j}), p = phase[var].
+    With beta_j(b) = s_j c_j, c_j canonical, an active beta_j(b+t)^{-m_j} is
+    sum_i C(m_j+i-1, i) (-a_j/s_j)^i t^i / (s_j^{m_j} c_j^{m_j+i}): one term
+    per bump vector i with |i| < m (|i| ascending, then i descending), with
+    numerator N_{m-1-|i|} = sum_k [t^k] q(b+t) p^(m-1-|i|-k)/(m-1-|i|-k)!."""
+    n, (form, mult) = term.num_vars, term.dens[pole_index]
+    a, p = form[var], Fraction(term.phase[var])
     rest = term.dens[:pole_index] + term.dens[pole_index + 1:]
-    # (z-b)^mult * f  =  numerator e^{..} / (a^mult * rest)
-    base = RatExpTerm(term.num_vars, term.numerator * (Fraction(1) / a**mult),
-                      term.phase, rest)
-    work = [base]
-    for _ in range(mult - 1):
-        nxt: list[RatExpTerm] = []
-        for t in work:
-            nxt.extend(t.derivative(var))
-        work = merge_terms(nxt)
-    n = term.num_vars
-    # x_var := the pole location, the other coordinates fixed
     at_pole = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     at_pole[var] = tuple(0 if i == var else Fraction(-form[i], a) for i in range(n))
-    return [t.scaled(Fraction(1, factorial(mult - 1))).pull_back(at_pole) for t in work]
+    pulled = [_pull(f, at_pole) for f, _ in rest]
+    if any(not any(f) for f in pulled):
+        raise GenericityError("pole locations collide after substitution")
+    canon = [primitive_covector(f) for f in pulled]
+    forms, base = sorted({c for c, _ in canon}), Fraction(1, a ** mult)
+    for (_, scalar), (_, m) in zip(canon, rest):
+        base /= scalar ** m
+    phase = _pull(term.phase, at_pole)
+    # x_var := x_var + b(y) puts D^k q(b) / k! at x_var^k
+    at_pole[var] = at_pole[var][:var] + (1,) + at_pole[var][var + 1:]
+    shifted = term.numerator.substitute_linear(at_pole)
+    slices = [{} for _ in range(mult)]
+    for mono, c in shifted.nums.items():
+        if mono[var] < mult:
+            slices[mono[var]][mono[:var] + (0,) + mono[var + 1:]] = c
+    out, active = [], [f[var] != 0 for f, _ in rest]
+    for total in range(mult if any(active) else 1):
+        s = mult - 1 - total  # N_s in integers over den Q^s s!, with p = P/Q
+        nums: dict = {}
+        for k in range(s + 1):
+            w = p.numerator ** (s - k) * p.denominator ** k * factorial(s) // factorial(s - k)
+            for mono, c in slices[k].items():
+                nums[mono] = nums.get(mono, 0) + c * w
+        n_s = TruncatedSeries._of(n, nums, shifted.den * p.denominator ** s * factorial(s), None)
+        for bump in _bumps(active, total):
+            coef, mults = base, dict.fromkeys(forms, 0)
+            for (c, scalar), (f, m), i in zip(canon, rest, bump):
+                if i:
+                    coef *= (-f[var] / scalar) ** i * comb(m + i - 1, i)
+                mults[c] += m + i
+            out.append(RatExpTerm(n, n_s * coef, phase, tuple(mults.items())))
+    return out
 
 
 def res_plus_1d(terms: list[RatExpTerm], var: int) -> list[RatExpTerm]:

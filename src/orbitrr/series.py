@@ -338,16 +338,7 @@ class TruncatedSeries:
                                    self.den * abs(content) * lead_num**top, qtrunc)
 
     # ------------------------------------------------------------------
-    # calculus / substitution helpers
-
-    def diff(self, var: int) -> "TruncatedSeries":
-        out = {}
-        for m, c in self.nums.items():
-            e = m[var]
-            if e:
-                out[m[:var] + (e - 1,) + m[var + 1:]] = c * e
-        trunc = None if self.trunc is None else self.trunc - 1
-        return TruncatedSeries._of(self.num_vars, out, self.den, trunc)
+    # substitution helpers
 
     def degree_in(self, var: int) -> int:
         return max((m[var] for m in self.nums), default=0)

@@ -392,6 +392,17 @@ def _base_oracle(**changes):
     ("base", _without(_base_oracle(), "group"), "base oracle has no field 'group'"),
     ("base", _without(_base_oracle(), "top_degree"), "base oracle has no field 'top_degree'"),
     ("base", _without(_base_oracle(), "todd"), "base oracle has no field 'todd'"),
+    # a misspelt key used to be read as its field's default and exit 0:
+    # "nums" as the numerator 1 (value 1, not 5), "coord" as no frame
+    ("jk-residue", {"vars": 1, "xi": ["1"],
+                    "terms": [{"nums": [[[0], "5"]], "phase": ["1"], "dens": [[["1"], 1]]}]},
+     "term 0 has unknown field 'nums'"),
+    ("jk-residue", _residue_problem(coord=[["1", "0"], ["1", "3"]]),
+     "residue problem has unknown field 'coord'"),
+    ("base", _base_oracle(todd_class=[[[0, 0], "1"]]), "base oracle has unknown field 'todd_class'"),
+    ("fibration", dict(json.loads((FIXTURES / "su2_three_spheres.json").read_text()),
+                       oracle_factors="1;1;1"),
+     "fixed-point data has unknown field 'oracle_factors'"),
 ], ids=["scalar-moment", "top-level-list", "short-phase", "non-spanning-denominators",
         "non-object-fixed-point", "number-fixed-points", "string-fixed-points",
         "number-group", "number-terms", "number-term", "number-dens", "number-num",
@@ -403,7 +414,8 @@ def _base_oracle(**changes):
         "repeated-todd-monomial", "degenerate-xi", "missing-fixture-group",
         "missing-fixed-points", "missing-moment", "missing-tangent-weights", "missing-vars",
         "missing-xi", "missing-phase", "missing-dens", "missing-base-group",
-        "missing-top-degree", "missing-todd"])
+        "missing-top-degree", "missing-todd", "unknown-term-key", "unknown-problem-key",
+        "unknown-base-key", "unknown-fixture-key"])
 def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc, fragment):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

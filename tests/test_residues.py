@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -14,6 +15,10 @@ from orbitrr.volumes import partition_fiber_volume
 
 def const(n, c=1):
     return TruncatedSeries.constant(c, n)
+
+
+def _scaled(term, c):
+    return RatExpTerm(term.num_vars, term.numerator * F(c), term.phase, term.dens)
 
 
 def simple_term(phase, dens, n=None, num=None):
@@ -111,7 +116,7 @@ def test_res_cone_linearity():
         c = F(rng.randint(1, 5), rng.randint(1, 3))
         v1 = res_cone([t1], cone)[0]
         v2 = res_cone([t2], cone)[0]
-        both = res_cone([t1, t2.scaled(c)], cone)[0]
+        both = res_cone([t1, _scaled(t2, c)], cone)[0]
         assert both == v1 + c * v2
 
 
@@ -214,7 +219,7 @@ def test_res_cone_of_repeated_terms_on_an_unlucky_frame():
     value, attempts = res_cone([term], cone, bad, seed=3)
     assert attempts > 0
     assert res_cone([term] * 3, cone, bad, seed=3) == (3 * value, attempts)
-    assert res_cone([term, term.scaled(-1)], cone, bad, seed=3)[0] == 0
+    assert res_cone([term, _scaled(term, -1)], cone, bad, seed=3)[0] == 0
 
 
 def test_chamber_volume_agreement_small_corpus():
@@ -325,3 +330,158 @@ def test_parsed_terms_pull_back_through_the_identity_unchanged():
 def test_build_cone_error_prints_the_weight_in_label_syntax():
     with pytest.raises(GenericityError, match="xi pairs to zero with weight 1,-1$"):
         build_cone([(1, -1)], (1, 1))
+
+
+# ----------------------------------------------------------------------
+# the closed-form pole evaluation against the derivative-based reference
+
+
+def _reference_derivative(term, var):
+    """d/dx_var of a term, as a list of terms in the same class."""
+    out = []
+    q = term.numerator
+    dq = TruncatedSeries(q.num_vars, {m[:var] + (m[var] - 1,) + m[var + 1:]: c * m[var]
+                                      for m, c in q.coeffs.items() if m[var]})
+    poly_part = dq + q * term.phase[var]
+    if not poly_part.is_zero():
+        out.append(RatExpTerm(term.num_vars, poly_part, term.phase, term.dens))
+    for idx, (form, mult) in enumerate(term.dens):
+        a = form[var]
+        if a == 0:
+            continue
+        bumped = list(term.dens)
+        bumped[idx] = (form, mult + 1)
+        out.append(RatExpTerm(term.num_vars, term.numerator * (-mult * a),
+                              term.phase, tuple(bumped)))
+    return out
+
+
+def _reference_residue_at_pole(term, var, pole_index):
+    """(1/(m-1)!) d^{m-1}/dz^{m-1} [(z-b)^m f] at z = b, by m - 1 rounds of
+    term derivatives merged after each round, then each term pulled back
+    to the pole."""
+    form, mult = term.dens[pole_index]
+    a = form[var]
+    rest = term.dens[:pole_index] + term.dens[pole_index + 1:]
+    work = [RatExpTerm(term.num_vars, term.numerator * (F(1) / a**mult), term.phase, rest)]
+    for _ in range(mult - 1):
+        work = merge_terms([d for t in work for d in _reference_derivative(t, var)])
+    n = term.num_vars
+    at_pole = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    at_pole[var] = tuple(0 if i == var else F(-form[i], a) for i in range(n))
+    return [_scaled(t, F(1, factorial(mult - 1))).pull_back(at_pole) for t in work]
+
+
+def _term_key(t):
+    return (t.num_vars, t.phase, tuple(map(type, t.phase)), t.dens, t.numerator.nums,
+            t.numerator.den, t.numerator.trunc)
+
+
+def _res_plus_chain(terms):
+    """res_plus_1d in every variable from the last, as the list of each
+    step's term keys, ending with the error type and message if one is
+    raised."""
+    steps = []
+    try:
+        for var in range(terms[0].num_vars - 1, -1, -1):
+            terms = res_plus_1d(terms, var)
+            steps.append([_term_key(t) for t in terms])
+    except (ConvergenceError, GenericityError) as exc:
+        steps.append((type(exc), str(exc)))
+    return steps
+
+
+def _random_residue_problem(rng):
+    n = rng.randint(1, 3)
+    entries = [0, 0, 1, -1, 2, -3]
+    phases = [tuple(F(rng.randint(-2, 3), rng.randint(1, 3)) for _ in range(n))
+              for _ in range(2)]
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        dens = []
+        for _ in range(rng.randint(1, 3)):
+            form = [rng.choice(entries) for _ in range(n)]
+            form[rng.randrange(n)] = rng.choice([1, -2, 3])
+            dens.append((tuple(form), rng.randint(1, 4)))
+        num = TruncatedSeries(n, {tuple(rng.randint(0, 2) for _ in range(n)):
+                                  F(rng.randint(-4, 4), rng.randint(1, 3))
+                                  for _ in range(rng.randint(1, 3))})
+        phase = rng.choice(phases)
+        # a few terms keep their forms as written, so that one pole can
+        # collapse a proportional denominator
+        raw = rng.random() < 0.15
+        terms.append(RatExpTerm(n, num, phase, tuple(dens)) if raw
+                     else make_term(n, num, phase, dens))
+    return terms
+
+
+def test_pole_evaluation_matches_the_derivative_reference(monkeypatch):
+    import orbitrr.residues as residues
+
+    rng = random.Random(2022)
+    problems = [_random_residue_problem(rng) for _ in range(400)]
+    new = [_res_plus_chain(terms) for terms in problems]
+    monkeypatch.setattr(residues, "_residue_at_pole", _reference_residue_at_pole)
+    old = [_res_plus_chain(terms) for terms in problems]
+    assert new == old
+    errors = [steps[-1][0] for steps in old if isinstance(steps[-1], tuple)]
+    assert ConvergenceError in errors and GenericityError in errors
+    assert len(errors) < len(problems) // 4
+
+
+def _power_product(point, mono):
+    out = F(1)
+    for x, e in zip(point, mono):
+        out *= F(x) ** e
+    return out
+
+
+def _value_at(series, point):
+    return sum((c * _power_product(point, mono) for mono, c in series.coeffs.items()), F(0))
+
+
+def test_pole_of_order_m_is_the_taylor_sum():
+    # Res_{x=0} q e^{px} / (a x)^m = a^-m sum_k q_k p^(m-1-k) / (m-1-k)!
+    # for q = 3 - x/2 + 5x^3, p = 2/3, a = -2, m = 4:
+    # (3 (8/27)/6 - (1/2)(4/9)/2 + 5) / 16 = (4/27 - 1/9 + 5) / 16 = 17/54
+    q = TruncatedSeries(1, {(0,): 3, (1,): F(-1, 2), (3,): 5})
+    p, a, m = F(2, 3), -2, 4
+    taylor = sum(c * p ** (m - 1 - k) / factorial(m - 1 - k)
+                 for (k,), c in q.coeffs.items()) / F(a) ** m
+    assert taylor == F(17, 54)
+    out = res_plus_1d([RatExpTerm(1, q, (p,), (((a,), m),))], 0)
+    assert len(out) == 1 and out[0].dens == () and out[0].phase == (0,)
+    assert out[0].numerator == TruncatedSeries.constant(F(17, 54), 1)
+
+
+def test_pole_of_order_four_with_two_other_active_denominators():
+    # Res at x = y of q e^{px + rz} / ((x - y)^4 (x + z) (x + 2z)^2): one term
+    # per way to spend at most 3 powers of t on (y + z + t)^-1 and
+    # (y + 2z + t)^-2, in the order (0,0) (1,0) (0,1) (2,0) (1,1) (0,2) ...
+    from orbitrr.residues import _residue_at_pole
+
+    q = TruncatedSeries(3, {(0, 0, 0): 1, (1, 1, 0): F(1, 2), (2, 0, 1): -3})
+    p, r = F(3, 2), F(1, 3)
+    term = make_term(3, q, (p, 0, r), [((1, -1, 0), 4), ((1, 0, 1), 1), ((1, 0, 2), 2)])
+    pole = term.dens.index(((1, -1, 0), 4))
+    out = _residue_at_pole(term, 0, pole)
+    bumps = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
+    assert [t.dens for t in out] == [(((0, 1, 1), 1 + i), ((0, 1, 2), 2 + j)) for i, j in bumps]
+    assert all(t.phase == (0, p, r) for t in out)
+    # at (y, z) = (1, 2), against the coefficient of t^3 in
+    # q(1 + t, 1, 2) e^{pt} / ((3 + t) (5 + t)^2) by series division
+    y, z = 1, 2
+    shifted = TruncatedSeries(1, {(k,): c for k, c in enumerate(
+        [_value_at(q, (y, y, z)), F(1, 2) * y - 6 * y * z, -3 * z])}, 3)
+    den = TruncatedSeries(1, {(0,): 75, (1,): 55, (2,): 13, (3,): 1}, 3)
+    laurent = (shifted * TruncatedSeries.exp_linear((p,), 3)).divide_exact(den)
+    total = sum(_value_at(t.numerator, (0, y, z))
+                / _power_product([y + z, y + 2 * z], [m for _, m in t.dens]) for t in out)
+    assert total == laurent.coeffs[(3,)]
+
+
+def test_a_pole_that_collapses_a_denominator_is_refused():
+    # forms kept as written: at x = -y the form 2x + 2y vanishes
+    term = RatExpTerm(2, const(2), (1, 1), (((1, 1), 1), ((2, 2), 1)))
+    with pytest.raises(GenericityError, match="pole locations collide"):
+        res_plus_1d([term], 0)
