@@ -270,9 +270,9 @@ def _fibration_terms(folded: dict, rs: RootSystem, lam: Vec, k: int):
     contribute phase k(mu(F) - w Lambda), numerator the degree-truncated
     product of the orbit factor prod(1 - e^{-<w gamma,X>}) with the
     tangent Todd units at F, and denominators the tangent weights at F.
-    The nonzero contributions are summed per (phase, tangent-weight
-    multiset), one term per sum.  All points have one dimension, so one
-    truncation degree serves them all."""
+    The contributions are summed per (phase, tangent-weight multiset), one
+    term per sum.  All points have one dimension, so one truncation degree
+    serves them all."""
     kw_lam = [vec(k * c for c in w.act(lam)) for w in enumerate_weyl_group(rs)]
     groups: dict = {}
     for (moment, tangent), (_, factor) in folded.items():
@@ -280,12 +280,10 @@ def _fibration_terms(folded: dict, rs: RootSystem, lam: Vec, k: int):
             continue
         canon, products = _tangent_products(rs, tangent)
         k_moment = vec(k * c for c in moment)
-        for i, product in enumerate(products):
+        for i, w_lam in enumerate(kw_lam):
             # a group whose contributions cancel still yields a (zero) term,
             # so the generic direction keeps avoiding its phase
-            if product.is_zero():
-                continue
-            phase = tuple(a - b for a, b in zip(k_moment, kw_lam[i]))
+            phase = tuple(a - b for a, b in zip(k_moment, w_lam))
             scalars = groups.setdefault((phase, tangent), (canon, products, {}))[2]
             scalars[i] = scalars.get(i, 0) + factor
     return [RatExpTerm(rs.rank, sum((products[i] * c for i, c in scalars.items()),

@@ -184,7 +184,9 @@ def res_plus_1d(terms: list[RatExpTerm], var: int) -> list[RatExpTerm]:
                 % (num_deg, den_deg))
         for i in active:
             out.extend(_residue_at_pole(term, var, i))
-    return merge_terms(out)
+    # in signature order, so that a frame which gives the same terms also
+    # gives the same next step, down to the term an error names
+    return sorted(merge_terms(out), key=RatExpTerm.signature)
 
 
 @dataclass(frozen=True)
@@ -242,40 +244,33 @@ def _rational_rotation(rng: random.Random, size: int) -> Mat:
     return tuple(tuple(r) for r in rows)
 
 
-def _perturbed_coords(base: Mat, attempt: int, seed: int) -> Mat:
-    """Deterministic pseudorandom change of the first n-1 basis vectors,
-    keeping the last (cone) vector fixed: rotate among them and shear each
-    by a small multiple of the cone vector."""
-    n = len(base)
+def _perturbed_coords(base: Mat, attempt: int) -> Mat:
+    """The frame of one attempt: the given one at attempt 0, otherwise its
+    first n-1 basis vectors rotated among themselves by a rotation drawn
+    from DEFAULT_SEED and the attempt, the last (cone) vector fixed."""
     if attempt == 0:
         return base
-    rng = random.Random((seed * 1000003 + attempt) & 0x7FFFFFFF)
-    cols = [tuple(base[i][j] for i in range(n)) for j in range(n)]
-    head, xi_col = cols[:-1], cols[-1]
-    rot = _rational_rotation(rng, n - 1)
-    head = [tuple(sum(rot[a][b] * head[b][i] for b in range(n - 1)) for i in range(n))
-            for a in range(n - 1)]
-    sheared = []
-    for c in head:
-        t = Fraction(rng.randrange(1, 12), rng.randrange(13, 29))
-        sheared.append(tuple(ci + t * xi for ci, xi in zip(c, xi_col)))
-    cols = sheared + [xi_col]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    rng = random.Random((DEFAULT_SEED * 1000003 + attempt) & 0x7FFFFFFF)
+    head = len(base) - 1
+    rot = _rational_rotation(rng, head)
+    return tuple(tuple(sum(row[b] * rot[a][b] for b in range(head)) for a in range(head))
+                 + (row[head],) for row in base)
 
 
-def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
-             seed: int = DEFAULT_SEED) -> tuple[Fraction, int]:
+def res_cone(terms: list[RatExpTerm], cone: Cone,
+             coords: Mat | None = None) -> tuple[Fraction, int]:
     """Iterated residue of a sum of terms over the cone.
 
     Applies the one-variable residue innermost in the last coordinate,
     then outward, and multiplies by the Jacobian |det coords| so the
     result does not depend on the admissible coordinate choice.  On a
     genericity failure in three or more variables the first n-1 coordinate
-    vectors are re-drawn deterministically from the seed, up to
-    DEFAULT_RETRIES times; in one or two variables the first failure is
-    final.  A frame that is the identity matrix (as on every rank-1
-    fibration) uses the merged terms as they are: they are canonical, so
-    pulling them back would only rebuild equal terms.
+    vectors are rotated among themselves by a rotation drawn from
+    DEFAULT_SEED, up to DEFAULT_RETRIES times; in one or two variables the
+    first failure is final.  The value does not depend on the frame, so no
+    caller chooses the draw.  A frame that is the identity matrix (as on
+    every rank-1 fibration) uses the merged terms as they are: they are
+    canonical, so pulling them back would only rebuild equal terms.
 
     Returns (value, re-drawn frames used).
     """
@@ -296,7 +291,7 @@ def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
     failure: Exception | None = None
     tried = 0
     for attempt in range(DEFAULT_RETRIES + 1):
-        frame = _perturbed_coords(base, attempt, seed)
+        frame = _perturbed_coords(base, attempt)
         try:
             work = terms if frame == identity(n) else [t.pull_back(frame) for t in terms]
             for var in range(n - 1, -1, -1):
@@ -309,9 +304,8 @@ def res_cone(terms: list[RatExpTerm], cone: Cone, coords: Mat | None = None, *,
             return total * abs(jac), attempt
         except (ConvergenceError, GenericityError) as exc:
             failure, tried = exc, attempt + 1
-            # in 2 variables a new frame only shears along xi: the inner step
-            # pairs with xi, each outer coefficient is det(frame) det(g, b) /
-            # <b, xi>, so every sign and zero test is the same in every frame
+            # in 1 or 2 variables there is no second head vector to rotate
+            # with, so every re-drawn frame is the given one
             if n < 3:
                 break
     raise GenericityError(

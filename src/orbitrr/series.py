@@ -248,20 +248,6 @@ class TruncatedSeries:
     # ------------------------------------------------------------------
     # series-only operations
 
-    def exp(self) -> "TruncatedSeries":
-        if self.trunc is None:
-            raise ValueError("exp needs a truncation degree")
-        if self.constant_term() != 0:
-            raise ValueError("exp requires zero constant term")
-        result = TruncatedSeries.constant(1, self.num_vars, self.trunc)
-        term = TruncatedSeries.constant(1, self.num_vars, self.trunc)
-        for k in range(1, self.trunc + 1):
-            term = term * self
-            if term.is_zero():
-                break
-            result = result + term * Fraction(1, factorial(k))
-        return result
-
     def inverse(self) -> "TruncatedSeries":
         if self.constant_term() == 0:
             raise ValueError("cannot invert a series with zero constant term")

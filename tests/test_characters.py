@@ -124,6 +124,15 @@ def test_character_coefficients_polynomial_in_labels():
             assert _finite_difference_vanishes(values, order)
 
 
+def _exp(series):
+    """exp of a truncated series without constant term, as its power sum."""
+    out = power = TruncatedSeries.constant(1, series.num_vars, series.trunc)
+    for k in range(1, series.trunc + 1):
+        power = power * series * F(1, k)
+        out = out + power
+    return out
+
+
 @pytest.mark.parametrize("label", GROUPS)
 def test_weyl_denominator_equals_the_root_product(label):
     # prod over gamma > 0 of (e^{gamma/2} - e^{-gamma/2}) through degree m + 2
@@ -134,8 +143,8 @@ def test_weyl_denominator_equals_the_root_product(label):
         half = tuple(F(c, 2) for c in g)
         # every factor has minimal degree 1, so degrees above 3 in one
         # factor, or above k + 2 after k factors, cannot reach degree m + 2
-        factor = (TruncatedSeries.linear_form(half, 3).exp()
-                  - TruncatedSeries.linear_form(tuple(-c for c in half), 3).exp())
+        factor = (_exp(TruncatedSeries.linear_form(half, 3))
+                  - _exp(TruncatedSeries.linear_form(tuple(-c for c in half), 3)))
         literal = (literal * factor.as_polynomial()).truncate(k + 2).as_polynomial()
     assert weyl_denominator(rs, m + 2) == literal.truncate(m + 2)
 
@@ -144,7 +153,7 @@ def _freudenthal_character(rs, labels, trunc):
     # sum over the weight diagram of m_mu e^{<mu, X>}, one exponential per weight
     out = TruncatedSeries(rs.rank, {}, trunc)
     for mu, mult in weight_multiplicities(rs, labels).items():
-        out = out + TruncatedSeries.linear_form(mu, trunc).exp() * mult
+        out = out + _exp(TruncatedSeries.linear_form(mu, trunc)) * mult
     return out
 
 

@@ -102,11 +102,15 @@ def test_unknown_fixed_point_field_is_refused(capsys, tmp_path, key):
     ("fibration_a1_mixed_spins_k2.json", ["fibration", "--weight", "2", "--k", "2",
                                           "--fixture", str(FIXTURES / "su2_mixed_spins.json"),
                                           "--route", "residue", "--oracle-factors", "1;2;1"]),
+    ("jk_unlucky_frame.json", ["jk-residue", "--input",
+                               str(FIXTURES / "jk_unlucky_frame.json")]),
 ])
 def test_golden_outputs(capsys, golden, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+    # only verify draws from a seed, so only its report carries one
+    assert "seed" not in json.loads(out)
 
 
 def test_reports_are_byte_identical_across_runs(capsys):
@@ -116,17 +120,56 @@ def test_reports_are_byte_identical_across_runs(capsys):
     _, first = run(capsys, *argv)
     _, second = run(capsys, *argv)
     assert first == second
-    doc = json.loads(first)
-    assert doc["seed"] == 20270614 and doc["residue"] == "3"
+    assert json.loads(first)["residue"] == "3"
 
 
 def test_seed_flag_and_env(capsys, monkeypatch):
-    # the seed comes from --seed or the built-in default, never the environment
+    # the seed is a verify option, from --seed or the built-in default, never
+    # the environment; no other command takes one
     monkeypatch.setenv("ORBITRR_SEED", "99")
-    _, out = run(capsys, "dim", "--group", "A1", "--weight", "1")
-    assert json.loads(out)["seed"] == 20270614
-    _, out = run(capsys, "--seed", "7", "dim", "--group", "A1", "--weight", "1")
-    assert json.loads(out)["seed"] == 7
+    code, out = run(capsys, "verify", "--suite", "residue")
+    assert code == 0 and json.loads(out)["seed"] == 20270614
+    code, out = run(capsys, "verify", "--suite", "residue", "--seed", "7")
+    assert code == 0 and json.loads(out)["seed"] == 7
+    for argv in (["--seed", "7", "dim", "--group", "A1", "--weight", "1"],
+                 ["dim", "--group", "A1", "--weight", "1", "--seed", "7"],
+                 ["jk-residue", "--input", str(FIXTURES / "jk_chamber_problem.json"),
+                  "--seed", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert "input error:" in captured.err
+
+
+def test_orbit_volume_of_a_regular_weight(capsys):
+    # the README example
+    code, out = run(capsys, "orbit-volume", "--group", "A2", "--weight", "2,1")
+    assert code == 0
+    assert out == '{"group":"A2","volume":"3","weight":"2,1"}\n'
+
+
+def test_base_route_without_a_base_fixture_is_an_input_error(capsys):
+    code = main(["fibration", "--weight", "1", "--k", "1", "--route", "base",
+                 "--fixture", str(FIXTURES / "su2_three_spheres.json")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "input error: --base-fixture is required for the base route\n"
+
+
+def test_routes_that_disagree_exit_3_with_the_report(capsys, tmp_path):
+    # a point oracle whose pairing is 2, not 1, against three spheres at k 1
+    doc = json.loads((FIXTURES / "su2_point_base.json").read_text())
+    doc["pairing"] = [[[0, 0], "2"]]
+    path = tmp_path / "double_point.json"
+    path.write_text(json.dumps(doc))
+    code = main(["fibration", "--weight", "1", "--k", "1", "--route", "both",
+                 "--fixture", str(FIXTURES / "su2_three_spheres.json"),
+                 "--base-fixture", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["difference"] == "-2"
+    assert captured.err == "internal inconsistency: routes disagree by -2\n"
 
 
 def test_exit_code_input_error(capsys):
@@ -403,6 +446,14 @@ def _base_oracle(**changes):
     ("fibration", dict(json.loads((FIXTURES / "su2_three_spheres.json").read_text()),
                        oracle_factors="1;1;1"),
      "fixed-point data has unknown field 'oracle_factors'"),
+    ("base", _base_oracle(group="A2"), "base fixture group A2 does not match A1"),
+    ("fibration", {"group": "A1", "fixed_points": []}, "need at least one fixed point"),
+    ("fibration", {"group": "A1", "fixed_points": [
+        {"label": "p", "moment": ["1"], "tangent_weights": [["2"]]},
+        {"label": "q", "moment": ["-1"], "tangent_weights": [["-2"], ["-2"]]}]},
+     "fixed points disagree on the manifold dimension"),
+    ("jk-residue", _residue_problem(coords=[["1", "0"], ["-1", "-3"]]),
+     "last coordinate vector must lie inside the cone"),
 ], ids=["scalar-moment", "top-level-list", "short-phase", "non-spanning-denominators",
         "non-object-fixed-point", "number-fixed-points", "string-fixed-points",
         "number-group", "number-terms", "number-term", "number-dens", "number-num",
@@ -415,7 +466,8 @@ def _base_oracle(**changes):
         "missing-fixed-points", "missing-moment", "missing-tangent-weights", "missing-vars",
         "missing-xi", "missing-phase", "missing-dens", "missing-base-group",
         "missing-top-degree", "missing-todd", "unknown-term-key", "unknown-problem-key",
-        "unknown-base-key", "unknown-fixture-key"])
+        "unknown-base-key", "unknown-fixture-key", "base-of-another-group",
+        "no-fixed-points", "mixed-dimensions", "frame-outside-the-cone"])
 def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc, fragment):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -7,8 +7,8 @@ import pytest
 from orbitrr.errors import ConvergenceError, GenericityError
 from orbitrr.jsonio import fixture_path, load_residue_problem
 from orbitrr.linalg import identity, mat_det
-from orbitrr.residues import (RatExpTerm, build_cone, make_term, merge_terms, res_cone,
-                              res_plus_1d)
+from orbitrr.residues import (DEFAULT_SEED, RatExpTerm, build_cone, make_term, merge_terms,
+                              res_cone, res_plus_1d)
 from orbitrr.series import TruncatedSeries
 from orbitrr.volumes import partition_fiber_volume
 
@@ -168,7 +168,7 @@ def test_res_cone_refuses_phase_on_a_denominator_ray():
     cone = build_cone([(1, 0), (0, 1)], (F(1), F(1)))
     coords = ((F(1), F(1)), (F(0), F(1)))  # last column (1,1) inside the cone
     with pytest.raises(GenericityError):
-        res_cone([t], cone, coords, seed=5)
+        res_cone([t], cone, coords)
 
 
 def test_res_cone_failure_reports_the_attempts_made():
@@ -181,14 +181,14 @@ def test_res_cone_failure_reports_the_attempts_made():
     cone = build_cone([(1, 0), (0, 1)], (F(1), F(1)))
     coords = ((F(1), F(1)), (F(0), F(1)))
     with pytest.raises(GenericityError, match="after 1 attempts"):
-        res_cone([t], cone, coords, seed=5)
+        res_cone([t], cone, coords)
     # in three variables a phase on one denominator ray fails every frame:
     # the given one and the DEFAULT_RETRIES re-drawn ones
     dens = [((F(1), F(0), F(0)), 1), ((F(0), F(1), F(0)), 1), ((F(0), F(0), F(1)), 1)]
     on_ray = make_term(3, TruncatedSeries.constant(1, 3), (F(0), F(0), F(1)), dens)
     cone = build_cone([d for d, _ in dens], (F(1), F(1), F(1)))
     with pytest.raises(GenericityError, match="after 9 attempts"):
-        res_cone([on_ray], cone, seed=5)
+        res_cone([on_ray], cone)
 
 
 def _unlucky_frame():
@@ -206,20 +206,131 @@ def _unlucky_frame():
 def test_res_cone_retries_recover_from_an_unlucky_frame():
     # a rotated retry frame rescues the computation: the given frame fails
     term, cone, bad = _unlucky_frame()
-    value, attempts = res_cone([term], cone, bad, seed=3)
+    value, attempts = res_cone([term], cone, bad)
     assert attempts >= 1
     good = ((F(1), F(1), F(1)), (F(0), F(1), F(2)), (F(0), F(0), F(1)))
-    reference, _ = res_cone([term], cone, good, seed=3)
+    reference, _ = res_cone([term], cone, good)
     assert value == reference
 
 
 def test_res_cone_of_repeated_terms_on_an_unlucky_frame():
     # merging repeated terms changes neither the value nor the retries
     term, cone, bad = _unlucky_frame()
-    value, attempts = res_cone([term], cone, bad, seed=3)
+    value, attempts = res_cone([term], cone, bad)
     assert attempts > 0
-    assert res_cone([term] * 3, cone, bad, seed=3) == (3 * value, attempts)
-    assert res_cone([term, _scaled(term, -1)], cone, bad, seed=3)[0] == 0
+    assert res_cone([term] * 3, cone, bad) == (3 * value, attempts)
+    assert res_cone([term, _scaled(term, -1)], cone, bad)[0] == 0
+
+
+def test_unlucky_frame_fixture_is_the_unlucky_frame():
+    # the shipped problem is the one above, explicit frame included
+    term, cone, bad = _unlucky_frame()
+    problem = load_residue_problem(str(fixture_path("jk_unlucky_frame.json")))
+    assert problem["terms"] == [term] and problem["coords"] == bad
+    assert problem["xi"] == cone.xi
+    assert res_cone(problem["terms"], cone, problem["coords"]) == (0, 1)
+
+
+def test_res_cone_takes_no_seed():
+    # the value does not depend on the frame, so no caller picks the draw
+    term, cone, bad = _unlucky_frame()
+    with pytest.raises(TypeError):
+        res_cone([term], cone, bad, seed=3)
+
+
+def _sheared_perturbed_coords(base, attempt):
+    """Reference re-draw with a shear (seed 20270614): the same rotation of
+    the head vectors as _perturbed_coords, then a shear of each along the
+    cone vector by a second draw from the same generator."""
+    from orbitrr.residues import _rational_rotation
+
+    n = len(base)
+    if attempt == 0:
+        return base
+    rng = random.Random((20270614 * 1000003 + attempt) & 0x7FFFFFFF)
+    cols = [tuple(base[i][j] for i in range(n)) for j in range(n)]
+    head, xi_col = cols[:-1], cols[-1]
+    rot = _rational_rotation(rng, n - 1)
+    head = [tuple(sum(rot[a][b] * head[b][i] for b in range(n - 1)) for i in range(n))
+            for a in range(n - 1)]
+    sheared = []
+    for c in head:
+        t = F(rng.randrange(1, 12), rng.randrange(13, 29))
+        sheared.append(tuple(ci + t * xi for ci, xi in zip(c, xi_col)))
+    cols = sheared + [xi_col]
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def test_a_refusal_names_one_term_with_or_without_the_shear(monkeypatch):
+    # the sheared frames give the same terms after each step but in another
+    # order: res_plus_1d returns them in signature order, so the refusal
+    # after the last frame names the same term either way
+    import orbitrr.residues as residues
+
+    term = make_term(3, TruncatedSeries(3, {(0, 0, 1): -1}), (-1, 0, 1),
+                     [((0, 1, 1), 1), ((1, -1, 0), 2), ((1, 0, -1), 2)])
+    cone = build_cone([f for f, _ in term.dens], (3, 4, 4))
+    frame = ((0, -1, 3), (2, -1, 4), (-1, 1, 4))
+    with pytest.raises(GenericityError, match="after 9 attempts") as new:
+        res_cone([term], cone, frame)
+    monkeypatch.setattr(residues, "_perturbed_coords", _sheared_perturbed_coords)
+    with pytest.raises(GenericityError) as old:
+        res_cone([term], cone, frame)
+    assert str(old.value) == str(new.value)
+
+
+def _random_cone_problem(rng):
+    """1-3 terms in 3 or 4 variables with sparse forms of multiplicity 1-2,
+    a cone vector off every denominator wall, and an integer frame ending
+    in it."""
+    n = rng.choice([3, 3, 3, 4])
+    entries = [0, 0, 0, 0, 0, 1, -1]
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        dens = []
+        for j in range(n):
+            form = [rng.choice(entries) for _ in range(n)]
+            form[j] = rng.choice([1, -1, 2])
+            dens.append((tuple(form), rng.choice([1, 1, 1, 2])))
+        phase = tuple(F(rng.choice([-2, -1, 1, 2, 3]), rng.randint(1, 2)) for _ in range(n))
+        j = rng.randrange(2 * n)  # x_j, or 1 when j >= n
+        num = TruncatedSeries(n, {tuple(int(i == j) for i in range(n)): rng.randint(1, 3)})
+        terms.append(make_term(n, num, phase, dens))
+    forms = [f for t in terms for f, _ in t.dens]
+    while True:
+        xi = tuple(rng.randint(1, 5) for _ in range(n))
+        if all(sum(a * b for a, b in zip(f, xi)) for f in forms):
+            break
+    while True:
+        cols = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n - 1)] + [xi]
+        frame = tuple(tuple(c[i] for c in cols) for i in range(n))
+        if mat_det(frame):
+            return terms, build_cone(forms, xi), frame
+
+
+def _res_cone_outcome(terms, cone, coords):
+    try:
+        return res_cone(terms, cone, coords)
+    except GenericityError as exc:
+        return type(exc), str(exc)
+
+
+def test_frames_without_the_shear_give_the_sheared_outcomes(monkeypatch):
+    # a shear of a head vector along xi translates the innermost variable
+    # by an outer one, which no residue sum in it sees: with the default
+    # and an explicit frame, every value, retry count and error is the same
+    import orbitrr.residues as residues
+
+    rng = random.Random(DEFAULT_SEED)
+    runs = [(terms, cone, coords) for terms, cone, frame in
+            (_random_cone_problem(rng) for _ in range(300)) for coords in (None, frame)]
+    new = [_res_cone_outcome(*run) for run in runs]
+    # a run that ends at attempt 0 never re-draws a frame, in either version
+    redrawn = [i for i, outcome in enumerate(new) if outcome[1] != 0]
+    monkeypatch.setattr(residues, "_perturbed_coords", _sheared_perturbed_coords)
+    assert [_res_cone_outcome(*runs[i]) for i in redrawn] == [new[i] for i in redrawn]
+    errors = sum(new[i][0] is GenericityError for i in redrawn)
+    assert errors >= 10 and len(redrawn) - errors >= 10
 
 
 def test_chamber_volume_agreement_small_corpus():
