@@ -1,4 +1,4 @@
-"""The residue kernel at work: one-variable residue sums with the decay
+"""The residue kernel at work: one-variable residue sums with the
 sign rule, iterated cone residues, and their agreement with chamber
 volumes of vector partition problems.
 
@@ -13,9 +13,9 @@ from orbitrr import (TruncatedSeries, build_cone, make_term, partition_fiber_vol
 one = TruncatedSeries.constant(1, 1)
 
 print("res+ of e^{3z}/z^2 (positive phase, double pole):",
-      res_plus_1d([make_term(1, one, (F(3),), [((F(1),), 2)])], 0)[0].numerator.to_text())
+      res_plus_1d([make_term(1, one, (F(3),), [((F(1),), 2)])], 0)[0][0].numerator.to_text())
 print("res+ of e^{-2z}/z (negative phase):",
-      res_plus_1d([make_term(1, one, (F(-2),), [((F(1),), 1)])], 0) or 0)
+      res_plus_1d([make_term(1, one, (F(-2),), [((F(1),), 1)])], 0)[0] or 0)
 
 weights = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
 cone = build_cone(weights, (F(1), F(3)))

@@ -5,9 +5,9 @@ All arithmetic is in exact rationals.
 """
 
 from .characters import character_series, orbit_volume, weyl_dim
-from .errors import (ConfigurationError, ConvergenceError, DegenerateOrbitError,
-                     ExactDivisionError, GeneratorDeficiencyError, GenericityError,
-                     InadmissibleInputError, InternalInconsistencyError, SingularValueError)
+from .errors import (ConfigurationError, DegenerateOrbitError, ExactDivisionError,
+                     GeneratorDeficiencyError, GenericityError, InadmissibleInputError,
+                     InternalInconsistencyError, SingularValueError)
 from .invariants import express_invariant, fundamental_degrees, invariant_generators
 from .localization import (BaseIntersectionOracle, CalibrationRegistry, FixedPointDatum,
                            fibration_rr_base, fibration_rr_residue, product_orbit_fixed_data,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseIntersectionOracle", "CalibrationRegistry", "Cone",
-    "ConfigurationError", "ConvergenceError", "DegenerateOrbitError", "ExactDivisionError",
+    "ConfigurationError", "DegenerateOrbitError", "ExactDivisionError",
     "FixedPointDatum", "GeneratorDeficiencyError", "GenericityError",
     "InadmissibleInputError", "InternalInconsistencyError", "RatExpTerm", "RootSystem",
     "SingularValueError", "TruncatedSeries", "WeylElement", "build_cone",

@@ -5,8 +5,10 @@ whitespace variance) to stdout, so identical configurations produce
 byte-identical reports.  Exact rationals are rendered as "p/q" strings.
 
 Exit codes: 0 success, 1 input, usage or precondition error, 2 genericity
-retries exhausted (``jk-residue`` only), 3 internal inconsistency (a
-failed exact division or identity, or routes that disagree).
+failure (``jk-residue`` only: a phase on a wall, whose one-sided values
+differ, or a zero phase that the tie does not decide), 3 internal
+inconsistency (a failed exact division or identity, or routes that
+disagree).
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from .linalg import vec_str
 from .localization import (CalibrationRegistry, _fold, fibration_rr_base, fibration_rr_residue,
                            product_orbit_fixed_data, rr_orbit_fixedpoint)
 from .multiplicities import tensor_multiplicity
-from .residues import DEFAULT_SEED, build_cone, res_cone
+from .residues import build_cone, res_cone
 from .roots import parse_group_label
-from .verify import run_suite
+from .verify import DEFAULT_SEED, run_suite
 
 EXIT_INPUT = 1
 EXIT_GENERICITY = 2
@@ -84,10 +86,10 @@ def _cmd_jk_residue(args) -> int:
         cone = build_cone([form for term in problem["terms"] for form, _ in term.dens],
                           problem["xi"])
     except GenericityError as exc:
-        # xi is part of the problem file, and no frame has been tried yet
+        # xi is part of the problem file, and no residue has been taken yet
         raise ValueError(str(exc)) from exc
-    value, attempts = res_cone(problem["terms"], cone, problem["coords"])
-    _emit({"value": fraction_to_str(value), "retries": attempts})
+    value, _ = res_cone(problem["terms"], cone, problem["coords"])
+    _emit({"value": fraction_to_str(value)})
     return 0
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: bad input / violated preconditions
-exit 1, exhausted genericity retries exit 2, internal inconsistencies
+exit 1, genericity failures (a phase on a wall, a tie that decides
+nothing, colliding poles) exit 2, internal inconsistencies
 (failed exact division, a failed exact identity) exit 3.
 """
 
@@ -27,11 +28,7 @@ class GeneratorDeficiencyError(ValueError):
 
 
 class GenericityError(RuntimeError):
-    """A genericity assumption failed and retries were exhausted."""
-
-
-class ConvergenceError(GenericityError):
-    """A zero-phase residue term has too little decay to be assigned a value."""
+    """A genericity assumption failed: the residue has no one value here."""
 
 
 class ExactDivisionError(ArithmeticError):

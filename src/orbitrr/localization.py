@@ -302,8 +302,7 @@ def _check_proven(rs: RootSystem) -> None:
 
 def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> Fraction:
     """Iterated residue of the fibration integrand, before the constant
-    det(Cartan) / |W|.  On A1 and A2 it has at most two variables, where
-    res_cone never re-draws a frame, so a genericity failure is final."""
+    det(Cartan) / |W|."""
     _check_proven(rs)
     if k < 1:
         raise ValueError("the residue route needs k >= 1, got %s" % k)

@@ -1,4 +1,4 @@
-"""One-variable residue sums with a decay sign rule, and the iterated
+"""One-variable residue sums with a tie-broken sign rule, and the iterated
 multidimensional residue attached to a cone.
 
 The objects are sums of terms q(X) e^{<phase,X>} / prod_j beta_j(X)^{m_j}
@@ -7,14 +7,18 @@ denominators.  The class is closed under d/dz and under taking residues
 in one variable, which is what makes the iterated residue computable
 exactly.
 
-Sign rule for the one-variable operation: a positive phase coefficient
-in the distinguished variable picks up the residues at every finite
-pole, a negative one contributes zero, and the zero-phase marginal case
-contributes zero only when the term decays at least like 1/z^2 (then the
-residue at infinity vanishes); otherwise it is refused rather than
-guessed.  Terms with equal phase and denominators are merged before the
-rule is applied -- cancellations between fixed-point contributions are
-what keep honest wall configurations finite.
+Sign rule for the one-variable operation: every phase is perturbed to
+phase + eps tie for one fixed covector, the tie, carried by each term.
+A term picks up the residues at every finite pole when its phase
+coefficient in the distinguished variable is positive, or zero with a
+positive tie coefficient; otherwise it contributes zero.  A zero-phase
+term needs no tie when its one pole is x_var = 0 and it decays at least
+like 1/x_var^2, since its residue there is zero.  Terms with equal
+phase, tie and denominators are merged before the rule is applied --
+cancellations between fixed-point contributions are what keep honest
+wall configurations finite.  Wherever the tie decided a term,
+``res_cone`` evaluates once more with the opposite tie, and two
+different values refuse the phase as lying on a wall.
 
 The residue at a pole of order m is one Taylor shift: the numerator is
 substituted once, x_var := x_var + b with b the pole location, which puts
@@ -25,18 +29,16 @@ with e^{pt} and the expansions of the other denominators.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import ConvergenceError, GenericityError
+from .errors import GenericityError
 from .linalg import Mat, Vec, identity, mat_det, primitive_covector, vec_str
 from .series import TruncatedSeries
 
 LinearForm = tuple[int, ...]
-DEFAULT_SEED = 20270614
-DEFAULT_RETRIES = 8
+_TIE_BASE = 1009
 
 
 @dataclass
@@ -45,25 +47,29 @@ class RatExpTerm:
     denominator form is an int tuple with coprime entries and positive
     leading entry, scalars being absorbed into the numerator; proportional
     forms are merged into one multiplicity.  Phase entries are ints or
-    Fractions."""
+    Fractions.  The tie is the direction in which the phase is perturbed
+    to decide a zero phase coefficient (None: undecided)."""
 
     num_vars: int
     numerator: TruncatedSeries
     phase: Vec
     dens: tuple[tuple[LinearForm, int], ...]
+    tie: Vec | None = None
 
     def signature(self):
-        return (self.phase, self.dens)
+        return (self.phase, self.dens, self.tie)
 
     def pull_back(self, matrix: Mat) -> "RatExpTerm":
         """The term after the frame change x_k := sum_i matrix[k][i] y_i:
-        the phase and the denominator forms pull back by the matrix, the
-        numerator by linear substitution."""
+        the phase, the tie and the denominator forms pull back by the
+        matrix, the numerator by linear substitution."""
         dens = [(_pull(form, matrix), mult) for form, mult in self.dens]
         if any(not any(form) for form, _ in dens):
             raise GenericityError("pole locations collide after substitution")
-        return make_term(self.num_vars, self.numerator.substitute_linear(matrix),
+        term = make_term(self.num_vars, self.numerator.substitute_linear(matrix),
                          _pull(self.phase, matrix), dens)
+        term.tie = None if self.tie is None else _pull(self.tie, matrix)
+        return term
 
 
 def _pull(cov, matrix: Mat) -> Vec:
@@ -91,14 +97,14 @@ def make_term(num_vars: int, numerator: TruncatedSeries, phase, dens) -> RatExpT
 
 
 def merge_terms(terms: list[RatExpTerm]) -> list[RatExpTerm]:
-    """Combine terms sharing (phase, denominators); drop zero numerators."""
+    """Combine terms sharing (phase, denominators, tie); drop zero numerators."""
     buckets: dict = {}
     order: list = []
     for t in terms:
         key = t.signature()
         if key in buckets:
             buckets[key] = RatExpTerm(t.num_vars, buckets[key].numerator + t.numerator,
-                                      t.phase, t.dens)
+                                      t.phase, t.dens, t.tie)
         else:
             buckets[key] = t
             order.append(key)
@@ -136,6 +142,7 @@ def _residue_at_pole(term: RatExpTerm, var: int, pole_index: int) -> list[RatExp
     for (_, scalar), (_, m) in zip(canon, rest):
         base /= scalar ** m
     phase = _pull(term.phase, at_pole)
+    tie = None if term.tie is None else _pull(term.tie, at_pole)
     # x_var := x_var + b(y) puts D^k q(b) / k! at x_var^k
     at_pole[var] = at_pole[var][:var] + (1,) + at_pole[var][var + 1:]
     shifted = term.numerator.substitute_linear(at_pole)
@@ -158,35 +165,39 @@ def _residue_at_pole(term: RatExpTerm, var: int, pole_index: int) -> list[RatExp
                 if i:
                     coef *= (-f[var] / scalar) ** i * comb(m + i - 1, i)
                 mults[c] += m + i
-            out.append(RatExpTerm(n, n_s * coef, phase, tuple(mults.items())))
+            out.append(RatExpTerm(n, n_s * coef, phase, tuple(mults.items()), tie))
     return out
 
 
-def res_plus_1d(terms: list[RatExpTerm], var: int) -> list[RatExpTerm]:
+def res_plus_1d(terms: list[RatExpTerm], var: int) -> tuple[list[RatExpTerm], bool]:
     """Residue-sum over the distinguished variable, by the sign rule.
 
     Returns a sum of terms in the remaining variables (the distinguished
-    coordinate is zeroed everywhere).
+    coordinate is zeroed everywhere), and whether a tie decided a term.
     """
     out: list[RatExpTerm] = []
+    tied = False
     for term in merge_terms(terms):
         p = term.phase[var]
-        active = [i for i, (form, _) in enumerate(term.dens) if form[var] != 0]
-        if p < 0:
+        active = [i for i, (form, _) in enumerate(term.dens) if form[var]]
+        if p < 0 or not active:
             continue
         if p == 0:
-            den_deg = sum(term.dens[i][1] for i in active)
-            num_deg = term.numerator.degree_in(var) if not term.numerator.is_zero() else 0
-            if num_deg <= den_deg - 2:
+            form, mult = term.dens[active[0]]
+            if (len(active) == 1 and not any(form[:var] + form[var + 1:])
+                    and term.numerator.degree_in(var) <= mult - 2):
+                continue  # its one residue, at x_var = 0, is zero on either side
+            if not (term.tie and term.tie[var]):
+                raise GenericityError("a zero phase in x_%d is not decided by the tie %s"
+                                      % (var, vec_str(term.tie) if term.tie else "(none)"))
+            tied = True
+            if term.tie[var] < 0:
                 continue
-            raise ConvergenceError(
-                "zero-phase term decays too slowly (numerator degree %d, denominator %d)"
-                % (num_deg, den_deg))
         for i in active:
             out.extend(_residue_at_pole(term, var, i))
     # in signature order, so that a frame which gives the same terms also
     # gives the same next step, down to the term an error names
-    return sorted(merge_terms(out), key=RatExpTerm.signature)
+    return sorted(merge_terms(out), key=RatExpTerm.signature), tied
 
 
 @dataclass(frozen=True)
@@ -229,84 +240,59 @@ def _default_coords(cone: Cone, n: int) -> Mat:
     raise GenericityError("could not complete xi to a basis")  # pragma: no cover
 
 
-def _rational_rotation(rng: random.Random, size: int) -> Mat:
-    """Exact rational rotation from a few Givens factors with Pythagorean
-    cosine/sine pairs."""
-    rows = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    for (i, j) in pairs:
-        m = rng.randrange(2, 8)
-        nn = rng.randrange(1, m)
-        c = Fraction(m * m - nn * nn, m * m + nn * nn)
-        s = Fraction(2 * m * nn, m * m + nn * nn)
-        for row in rows:
-            row[i], row[j] = c * row[i] - s * row[j], s * row[i] + c * row[j]
-    return tuple(tuple(r) for r in rows)
-
-
-def _perturbed_coords(base: Mat, attempt: int) -> Mat:
-    """The frame of one attempt: the given one at attempt 0, otherwise its
-    first n-1 basis vectors rotated among themselves by a rotation drawn
-    from DEFAULT_SEED and the attempt, the last (cone) vector fixed."""
-    if attempt == 0:
-        return base
-    rng = random.Random((DEFAULT_SEED * 1000003 + attempt) & 0x7FFFFFFF)
-    head = len(base) - 1
-    rot = _rational_rotation(rng, head)
-    return tuple(tuple(sum(row[b] * rot[a][b] for b in range(head)) for a in range(head))
-                 + (row[head],) for row in base)
-
-
 def res_cone(terms: list[RatExpTerm], cone: Cone,
              coords: Mat | None = None) -> tuple[Fraction, int]:
-    """Iterated residue of a sum of terms over the cone.
+    """Iterated residue of a sum of terms over the cone, at the phases
+    perturbed by eps s for the fixed tie s = (1009, 1009^2, ...).
 
     Applies the one-variable residue innermost in the last coordinate,
     then outward, and multiplies by the Jacobian |det coords| so the
-    result does not depend on the admissible coordinate choice.  On a
-    genericity failure in three or more variables the first n-1 coordinate
-    vectors are rotated among themselves by a rotation drawn from
-    DEFAULT_SEED, up to DEFAULT_RETRIES times; in one or two variables the
-    first failure is final.  The value does not depend on the frame, so no
-    caller chooses the draw.  A frame that is the identity matrix (as on
-    every rank-1 fibration) uses the merged terms as they are: they are
-    canonical, so pulling them back would only rebuild equal terms.
+    result does not depend on the admissible coordinate choice.  Where
+    the tie decided a term, the residue is evaluated once more with -s;
+    two different values mean the phase lies on a wall, and it is
+    refused.  A frame that is the identity matrix (as on every rank-1
+    fibration) skips the pull-back: the terms are canonical, so it would
+    only rebuild equal terms.
 
-    Returns (value, re-drawn frames used).
+    Returns (value, 1 if the -s side was evaluated else 0).
     """
     if not terms:
         return Fraction(0), 0
     n = terms[0].num_vars
-    base = coords if coords is not None else _default_coords(cone, n)
-    if len(base) != n:
+    frame = coords if coords is not None else _default_coords(cone, n)
+    if len(frame) != n:
         raise ValueError("coordinate matrix has wrong size")
-    last = tuple(base[i][n - 1] for i in range(n))
+    last = tuple(frame[i][n - 1] for i in range(n))
     if not cone.contains(last):
         raise ValueError("last coordinate vector must lie inside the cone")
-    if mat_det(base) == 0:
+    if mat_det(frame) == 0:
         raise ValueError("coordinate vectors must form a basis")
     # the frame change is linear and keeps distinct signatures distinct,
-    # so merging once here spares every attempt the duplicate transforms
+    # so merging once here spares both sides the duplicate transforms
     terms = merge_terms(terms)
-    failure: Exception | None = None
-    tried = 0
-    for attempt in range(DEFAULT_RETRIES + 1):
-        frame = _perturbed_coords(base, attempt)
-        try:
-            work = terms if frame == identity(n) else [t.pull_back(frame) for t in terms]
-            for var in range(n - 1, -1, -1):
-                work = res_plus_1d(work, var)
-            total = Fraction(0)
-            for t in work:
-                assert not t.dens and all(c == 0 for c in t.phase)
-                total += t.numerator.constant_term()
-            jac = mat_det(frame)
-            return total * abs(jac), attempt
-        except (ConvergenceError, GenericityError) as exc:
-            failure, tried = exc, attempt + 1
-            # in 1 or 2 variables there is no second head vector to rotate
-            # with, so every re-drawn frame is the given one
-            if n < 3:
-                break
-    raise GenericityError(
-        "residue genericity exhausted after %d attempts: %s" % (tried, failure))
+    tie = tuple(_TIE_BASE ** (i + 1) for i in range(n))
+    value, tied = _side(terms, frame, tie)
+    if not tied:
+        return value, 0
+    other, _ = _side(terms, frame, tuple(-c for c in tie))
+    if other != value:
+        raise GenericityError("the phase lies on a wall: one-sided values %s and %s"
+                              % (value, other))
+    return value, 1
+
+
+def _side(terms: list[RatExpTerm], frame: Mat, tie: Vec) -> tuple[Fraction, bool]:
+    """The residue with every term's tie set to `tie` in the given
+    coordinates, and whether a tie decided a term on the way."""
+    work = [RatExpTerm(t.num_vars, t.numerator, t.phase, t.dens, tie) for t in terms]
+    if frame != identity(len(frame)):
+        work = [t.pull_back(frame) for t in work]
+    tied = False
+    for var in range(len(frame) - 1, -1, -1):
+        work, step_tied = res_plus_1d(work, var)
+        tied |= step_tied
+    total = Fraction(0)
+    for t in work:
+        assert not t.dens and all(c == 0 for c in t.phase)
+        total += t.numerator.constant_term()
+    return total * abs(mat_det(frame)), tied

@@ -5,9 +5,8 @@ to see the lines; the same checks back the `orbitrr verify` subcommand.
 
 import time
 
-from orbitrr.residues import DEFAULT_SEED
-from orbitrr.verify import (suite_asymptotics, suite_bwb, suite_fibration, suite_identity,
-                            suite_residue)
+from orbitrr.verify import (DEFAULT_SEED, suite_asymptotics, suite_bwb, suite_fibration,
+                            suite_identity, suite_residue)
 
 
 def _assert_all(results, budget=None, elapsed=None):

@@ -313,7 +313,8 @@ def test_exit_code_singular_fibration(capsys, tmp_path):
 
 
 def test_exit_code_genericity(capsys, tmp_path):
-    # a zero-phase problem with a bare first-order pole cannot converge
+    # a zero phase at a bare first-order pole is a wall: its residue is 1
+    # from one side and 0 from the other
     doc = {
         "vars": 1,
         "terms": [{"num": [[[0], "1"]], "phase": ["0"], "dens": [[["1"], 1]]}],
@@ -321,8 +322,10 @@ def test_exit_code_genericity(capsys, tmp_path):
     }
     path = tmp_path / "marginal.json"
     path.write_text(json.dumps(doc))
-    code, _ = run(capsys, "jk-residue", "--input", str(path))
-    assert code == 2
+    code = main(["jk-residue", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "one-sided values 1 and 0" in captured.err
 
 
 def test_verify_single_suite(capsys):

@@ -297,10 +297,10 @@ def test_orbit_sweep_matches_the_tensor_oracle(sweep):
 
 
 def test_a2_interior_wall_is_a_singular_value(a2):
-    # a phase on a wall fails the residue in every frame; the route tries
-    # one frame and calls it a singular value, not a genericity failure
+    # a phase on a wall has two one-sided residues; the route calls that a
+    # singular value, not a genericity failure
     points = product_orbit_fixed_data(a2, [(2, 0), (2, 1)])
-    with pytest.raises(SingularValueError, match="after 1 attempts"):
+    with pytest.raises(SingularValueError, match="one-sided values 2/3 and 4/3"):
         raw_fibration_residue(points, a2, (2, 2), 1)
 
 

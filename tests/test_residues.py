@@ -1,14 +1,17 @@
+import functools
+import json
 import random
 from fractions import Fraction as F
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from orbitrr.errors import ConvergenceError, GenericityError
+from orbitrr.errors import GenericityError
 from orbitrr.jsonio import fixture_path, load_residue_problem
 from orbitrr.linalg import identity, mat_det
-from orbitrr.residues import (DEFAULT_SEED, RatExpTerm, build_cone, make_term, merge_terms,
-                              res_cone, res_plus_1d)
+from orbitrr.residues import (RatExpTerm, build_cone, make_term, merge_terms, res_cone,
+                              res_plus_1d)
 from orbitrr.series import TruncatedSeries
 from orbitrr.volumes import partition_fiber_volume
 
@@ -18,7 +21,7 @@ def const(n, c=1):
 
 
 def _scaled(term, c):
-    return RatExpTerm(term.num_vars, term.numerator * F(c), term.phase, term.dens)
+    return RatExpTerm(term.num_vars, term.numerator * F(c), term.phase, term.dens, term.tie)
 
 
 def simple_term(phase, dens, n=None, num=None):
@@ -27,27 +30,35 @@ def simple_term(phase, dens, n=None, num=None):
 
 
 def test_res_plus_simple_pole():
-    out = res_plus_1d([simple_term((F(1),), [((F(1),), 1)])], 0)
-    assert len(out) == 1 and out[0].numerator.constant_term() == 1
+    out, tied = res_plus_1d([simple_term((F(1),), [((F(1),), 1)])], 0)
+    assert not tied and len(out) == 1 and out[0].numerator.constant_term() == 1
     assert out[0].dens == () and out[0].phase == (F(0),)
 
 
 def test_res_plus_double_pole_derivative_rule():
     for p in (F(3), F(1, 2)):
-        out = res_plus_1d([simple_term((p,), [((F(1),), 2)])], 0)
+        out, _ = res_plus_1d([simple_term((p,), [((F(1),), 2)])], 0)
         assert len(out) == 1 and out[0].numerator.constant_term() == p
 
 
 def test_res_plus_negative_phase_vanishes():
-    assert res_plus_1d([simple_term((F(-2),), [((F(1),), 1)])], 0) == []
+    assert res_plus_1d([simple_term((F(-2),), [((F(1),), 1)])], 0) == ([], False)
 
 
 def test_res_plus_zero_phase_decay_rule():
-    # enough decay: zero
-    assert res_plus_1d([simple_term((F(0),), [((F(1),), 2)])], 0) == []
-    # too little decay: refuse
-    with pytest.raises(ConvergenceError):
-        res_plus_1d([simple_term((F(0),), [((F(1),), 1)])], 0)
+    # enough decay: the residue at the one pole is zero, so no tie decides
+    assert res_plus_1d([simple_term((F(0),), [((F(1),), 2)])], 0) == ([], False)
+    # too little decay: the sign of the tie decides
+    marginal = simple_term((F(0),), [((F(1),), 1)])
+    out, tied = res_plus_1d([RatExpTerm(1, marginal.numerator, (0,), marginal.dens, (3,))], 0)
+    assert tied and [t.numerator.constant_term() for t in out] == [1]
+    out, tied = res_plus_1d([RatExpTerm(1, marginal.numerator, (0,), marginal.dens, (-3,))], 0)
+    assert tied and out == []
+    # and without a tie, or with a zero one, the term is refused
+    with pytest.raises(GenericityError, match="not decided by the tie [(]none[)]$"):
+        res_plus_1d([marginal], 0)
+    with pytest.raises(GenericityError, match="not decided by the tie 0$"):
+        res_plus_1d([RatExpTerm(1, marginal.numerator, (0,), marginal.dens, (0,))], 0)
 
 
 def test_res_plus_merges_before_the_marginal_rule():
@@ -56,13 +67,13 @@ def test_res_plus_merges_before_the_marginal_rule():
     num2 = TruncatedSeries(1, {(1,): F(-1)})
     t1 = make_term(1, num1, (F(0),), [((F(1),), 3)])
     t2 = make_term(1, num2, (F(0),), [((F(1),), 3)])
-    assert res_plus_1d([t1, t2], 0) == []
+    assert res_plus_1d([t1, t2], 0) == ([], False)
 
 
 def test_res_plus_poles_in_parameters():
     # e^{x+y}/(x(x+y)) in x: residues at x=0 and x=-y
     t = simple_term((F(1), F(1)), [((F(1), F(0)), 1), ((F(1), F(1)), 1)])
-    out = res_plus_1d([t], 0)
+    out, _ = res_plus_1d([t], 0)
     # e^{y}/y - 1/y  (the pole at x=-y kills the exponential)
     by_phase = {term.phase: term for term in out}
     assert set(by_phase) == {(F(0), F(1)), (F(0), F(0))}
@@ -92,8 +103,8 @@ def test_build_cone_examples():
 def test_res_cone_one_variable_reduces():
     t = simple_term((F(1),), [((F(1),), 1)])
     cone = build_cone([(F(1),)], (F(1),))
-    value, attempts = res_cone([t], cone)
-    assert value == 1 and attempts == 0
+    value, tied = res_cone([t], cone)
+    assert value == 1 and tied == 0
 
 
 def test_res_cone_worked_examples():
@@ -152,7 +163,7 @@ def test_res_cone_scaled_frame_has_unit_jacobian_effect():
 def test_res_cone_output_closure_invariants():
     # every intermediate output of res_plus_1d is in canonical form
     t = simple_term((F(1), F(2)), [((F(1), F(0)), 1), ((F(1), F(3)), 2)])
-    out = res_plus_1d([t], 1)
+    out, _ = res_plus_1d([t], 1)
     for term in out:
         for form, mult in term.dens:
             assert mult >= 1
@@ -163,7 +174,7 @@ def test_res_cone_output_closure_invariants():
 
 def test_res_cone_refuses_phase_on_a_denominator_ray():
     # the phase is proportional to one denominator form, violating the
-    # proper-span precondition; no rotation can fix that
+    # proper-span precondition: it lies on a wall
     t = simple_term((F(0), F(1)), [((F(1), F(0)), 1), ((F(0), F(1)), 1)])
     cone = build_cone([(1, 0), (0, 1)], (F(1), F(1)))
     coords = ((F(1), F(1)), (F(0), F(1)))  # last column (1,1) inside the cone
@@ -171,30 +182,37 @@ def test_res_cone_refuses_phase_on_a_denominator_ray():
         res_cone([t], cone, coords)
 
 
-def test_res_cone_failure_reports_the_attempts_made():
-    # in one or two variables no re-drawn frame changes a test, so the
-    # first failure is final
+def test_res_cone_refuses_a_wall_by_its_one_sided_values():
+    # a zero phase at a bare pole, in one variable, in two and in three:
+    # the residue is 1 with the tie and 0 against it
     marginal = simple_term((F(0),), [((F(1),), 1)])
-    with pytest.raises(GenericityError, match="after 1 attempts"):
+    with pytest.raises(GenericityError, match="one-sided values 1 and 0$"):
         res_cone([marginal], build_cone([(F(1),)], (F(1),)))
     t = simple_term((F(0), F(1)), [((F(1), F(0)), 1), ((F(0), F(1)), 1)])
     cone = build_cone([(1, 0), (0, 1)], (F(1), F(1)))
     coords = ((F(1), F(1)), (F(0), F(1)))
-    with pytest.raises(GenericityError, match="after 1 attempts"):
+    with pytest.raises(GenericityError, match="one-sided values 1 and 0$"):
         res_cone([t], cone, coords)
-    # in three variables a phase on one denominator ray fails every frame:
-    # the given one and the DEFAULT_RETRIES re-drawn ones
     dens = [((F(1), F(0), F(0)), 1), ((F(0), F(1), F(0)), 1), ((F(0), F(0), F(1)), 1)]
     on_ray = make_term(3, TruncatedSeries.constant(1, 3), (F(0), F(0), F(1)), dens)
     cone = build_cone([d for d, _ in dens], (F(1), F(1), F(1)))
-    with pytest.raises(GenericityError, match="after 9 attempts"):
+    with pytest.raises(GenericityError, match="one-sided values 1 and 0$"):
         res_cone([on_ray], cone)
+
+
+def test_res_cone_refuses_a_tie_that_decides_nothing():
+    # the tie (1009, 1009^2) is 1009 times the form x + 1009 y, so at the
+    # pole of that form it pulls back to zero, as the phase does
+    term = simple_term((0, 0), [((1, 1009), 1), ((1, 0), 1)])
+    cone = build_cone([f for f, _ in term.dens], (1, 1))
+    with pytest.raises(GenericityError, match="not decided by the tie 0,0$"):
+        res_cone([term], cone)
 
 
 def _unlucky_frame():
     # valid input (phase off every proper span of the denominator forms),
     # but the chosen frame makes an intermediate phase vanish on a term
-    # with too little decay
+    # with too little decay, so the tie decides it
     num = TruncatedSeries(3, {(1, 0, 0): F(1)})
     dens = [((F(1), F(0), F(0)), 1), ((F(0), F(1), F(0)), 1), ((F(0), F(0), F(1)), 1)]
     term = make_term(3, num, (F(-1), F(2), F(1)), dens)
@@ -203,22 +221,23 @@ def _unlucky_frame():
     return term, cone, bad
 
 
-def test_res_cone_retries_recover_from_an_unlucky_frame():
-    # a rotated retry frame rescues the computation: the given frame fails
+def test_res_cone_answers_an_unlucky_frame_in_place():
+    # the given frame gives the value of a frame where no phase vanishes,
+    # after evaluating both sides of the tie
     term, cone, bad = _unlucky_frame()
-    value, attempts = res_cone([term], cone, bad)
-    assert attempts >= 1
+    value, tied = res_cone([term], cone, bad)
+    assert tied == 1
     good = ((F(1), F(1), F(1)), (F(0), F(1), F(2)), (F(0), F(0), F(1)))
     reference, _ = res_cone([term], cone, good)
     assert value == reference
 
 
 def test_res_cone_of_repeated_terms_on_an_unlucky_frame():
-    # merging repeated terms changes neither the value nor the retries
+    # merging repeated terms changes neither the value nor the sides evaluated
     term, cone, bad = _unlucky_frame()
-    value, attempts = res_cone([term], cone, bad)
-    assert attempts > 0
-    assert res_cone([term] * 3, cone, bad) == (3 * value, attempts)
+    value, tied = res_cone([term], cone, bad)
+    assert tied == 1
+    assert res_cone([term] * 3, cone, bad) == (3 * value, tied)
     assert res_cone([term, _scaled(term, -1)], cone, bad)[0] == 0
 
 
@@ -232,51 +251,10 @@ def test_unlucky_frame_fixture_is_the_unlucky_frame():
 
 
 def test_res_cone_takes_no_seed():
-    # the value does not depend on the frame, so no caller picks the draw
+    # the value does not depend on the frame, and res_cone draws nothing
     term, cone, bad = _unlucky_frame()
     with pytest.raises(TypeError):
         res_cone([term], cone, bad, seed=3)
-
-
-def _sheared_perturbed_coords(base, attempt):
-    """Reference re-draw with a shear (seed 20270614): the same rotation of
-    the head vectors as _perturbed_coords, then a shear of each along the
-    cone vector by a second draw from the same generator."""
-    from orbitrr.residues import _rational_rotation
-
-    n = len(base)
-    if attempt == 0:
-        return base
-    rng = random.Random((20270614 * 1000003 + attempt) & 0x7FFFFFFF)
-    cols = [tuple(base[i][j] for i in range(n)) for j in range(n)]
-    head, xi_col = cols[:-1], cols[-1]
-    rot = _rational_rotation(rng, n - 1)
-    head = [tuple(sum(rot[a][b] * head[b][i] for b in range(n - 1)) for i in range(n))
-            for a in range(n - 1)]
-    sheared = []
-    for c in head:
-        t = F(rng.randrange(1, 12), rng.randrange(13, 29))
-        sheared.append(tuple(ci + t * xi for ci, xi in zip(c, xi_col)))
-    cols = sheared + [xi_col]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def test_a_refusal_names_one_term_with_or_without_the_shear(monkeypatch):
-    # the sheared frames give the same terms after each step but in another
-    # order: res_plus_1d returns them in signature order, so the refusal
-    # after the last frame names the same term either way
-    import orbitrr.residues as residues
-
-    term = make_term(3, TruncatedSeries(3, {(0, 0, 1): -1}), (-1, 0, 1),
-                     [((0, 1, 1), 1), ((1, -1, 0), 2), ((1, 0, -1), 2)])
-    cone = build_cone([f for f, _ in term.dens], (3, 4, 4))
-    frame = ((0, -1, 3), (2, -1, 4), (-1, 1, 4))
-    with pytest.raises(GenericityError, match="after 9 attempts") as new:
-        res_cone([term], cone, frame)
-    monkeypatch.setattr(residues, "_perturbed_coords", _sheared_perturbed_coords)
-    with pytest.raises(GenericityError) as old:
-        res_cone([term], cone, frame)
-    assert str(old.value) == str(new.value)
 
 
 def _random_cone_problem(rng):
@@ -300,37 +278,65 @@ def _random_cone_problem(rng):
     while True:
         xi = tuple(rng.randint(1, 5) for _ in range(n))
         if all(sum(a * b for a, b in zip(f, xi)) for f in forms):
-            break
+            return terms, build_cone(forms, xi), _random_frame(rng, xi)
+
+
+def _random_frame(rng, xi):
+    """An integer frame with head entries in [-2, 2], ending in xi."""
+    n = len(xi)
     while True:
         cols = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n - 1)] + [xi]
         frame = tuple(tuple(c[i] for c in cols) for i in range(n))
         if mat_det(frame):
-            return terms, build_cone(forms, xi), frame
+            return frame
+
+
+# corpus problems on a wall: the golden value is one side of it (3/4 and
+# 0 here), and the residue now refuses them
+CORPUS_WALLS = {289}
+
+
+@functools.cache
+def _corpus():
+    """The golden default-frame values of the seeded cone problems (computed
+    when res_cone still re-drew frames), the problems themselves, and their
+    default-frame outcomes now."""
+    doc = json.loads((Path(__file__).parent / "golden" / "res_cone_corpus.json").read_text())
+    rng = random.Random(doc["seed"])
+    problems = [_random_cone_problem(rng) for _ in range(doc["problems"])]
+    return doc, problems, [_res_cone_outcome(terms, cone, None) for terms, cone, _ in problems]
 
 
 def _res_cone_outcome(terms, cone, coords):
     try:
-        return res_cone(terms, cone, coords)
+        return res_cone(terms, cone, coords)[0]
     except GenericityError as exc:
         return type(exc), str(exc)
 
 
-def test_frames_without_the_shear_give_the_sheared_outcomes(monkeypatch):
-    # a shear of a head vector along xi translates the innermost variable
-    # by an outer one, which no residue sum in it sees: with the default
-    # and an explicit frame, every value, retry count and error is the same
-    import orbitrr.residues as residues
+def test_res_cone_reproduces_the_corpus_values():
+    doc, _, outcomes = _corpus()
+    assert CORPUS_WALLS <= {int(key) for key in doc["values"]}
+    for key, value in doc["values"].items():
+        outcome = outcomes[int(key)]
+        if int(key) in CORPUS_WALLS:
+            assert outcome[0] is GenericityError and "one-sided values" in outcome[1], key
+        else:
+            assert outcome == F(value), key
 
-    rng = random.Random(DEFAULT_SEED)
-    runs = [(terms, cone, coords) for terms, cone, frame in
-            (_random_cone_problem(rng) for _ in range(300)) for coords in (None, frame)]
-    new = [_res_cone_outcome(*run) for run in runs]
-    # a run that ends at attempt 0 never re-draws a frame, in either version
-    redrawn = [i for i, outcome in enumerate(new) if outcome[1] != 0]
-    monkeypatch.setattr(residues, "_perturbed_coords", _sheared_perturbed_coords)
-    assert [_res_cone_outcome(*runs[i]) for i in redrawn] == [new[i] for i in redrawn]
-    errors = sum(new[i][0] is GenericityError for i in redrawn)
-    assert errors >= 10 and len(redrawn) - errors >= 10
+
+def test_res_cone_has_one_outcome_per_corpus_problem():
+    # the default frame, the problem's own and two random ones give the
+    # same value or the same refusal
+    _, problems, outcomes = _corpus()
+    rng = random.Random(2027)
+    differ = [i for i, ((terms, cone, frame), outcome) in enumerate(zip(problems, outcomes))
+              if any(_res_cone_outcome(terms, cone, coords) != outcome
+                     for coords in (frame, _random_frame(rng, cone.xi),
+                                    _random_frame(rng, cone.xi)))]
+    assert differ == []
+    refused = sum(isinstance(outcome, tuple) for outcome in outcomes)
+    assert 10 <= refused <= len(outcomes) - 10
 
 
 def test_chamber_volume_agreement_small_corpus():
@@ -366,9 +372,9 @@ def test_int_forms_give_the_exact_fraction_result(terms, xi):
         forms = [form for t in built for form, _ in t.dens]
         return built, build_cone(forms, tuple(map(num, xi)))
 
-    value, attempts = res_cone(*problem(int))
+    value, tied = res_cone(*problem(int))
     assert isinstance(value, F) and value != 0
-    assert (value, attempts) == res_cone(*problem(F))
+    assert (value, tied) == res_cone(*problem(F))
 
 
 def test_merge_terms_combines_signatures():
@@ -455,7 +461,7 @@ def _reference_derivative(term, var):
                                       for m, c in q.coeffs.items() if m[var]})
     poly_part = dq + q * term.phase[var]
     if not poly_part.is_zero():
-        out.append(RatExpTerm(term.num_vars, poly_part, term.phase, term.dens))
+        out.append(RatExpTerm(term.num_vars, poly_part, term.phase, term.dens, term.tie))
     for idx, (form, mult) in enumerate(term.dens):
         a = form[var]
         if a == 0:
@@ -463,7 +469,7 @@ def _reference_derivative(term, var):
         bumped = list(term.dens)
         bumped[idx] = (form, mult + 1)
         out.append(RatExpTerm(term.num_vars, term.numerator * (-mult * a),
-                              term.phase, tuple(bumped)))
+                              term.phase, tuple(bumped), term.tie))
     return out
 
 
@@ -474,7 +480,8 @@ def _reference_residue_at_pole(term, var, pole_index):
     form, mult = term.dens[pole_index]
     a = form[var]
     rest = term.dens[:pole_index] + term.dens[pole_index + 1:]
-    work = [RatExpTerm(term.num_vars, term.numerator * (F(1) / a**mult), term.phase, rest)]
+    work = [RatExpTerm(term.num_vars, term.numerator * (F(1) / a**mult), term.phase, rest,
+                       term.tie)]
     for _ in range(mult - 1):
         work = merge_terms([d for t in work for d in _reference_derivative(t, var)])
     n = term.num_vars
@@ -484,7 +491,7 @@ def _reference_residue_at_pole(term, var, pole_index):
 
 
 def _term_key(t):
-    return (t.num_vars, t.phase, tuple(map(type, t.phase)), t.dens, t.numerator.nums,
+    return (t.num_vars, t.phase, tuple(map(type, t.phase)), t.dens, t.tie, t.numerator.nums,
             t.numerator.den, t.numerator.trunc)
 
 
@@ -495,9 +502,9 @@ def _res_plus_chain(terms):
     steps = []
     try:
         for var in range(terms[0].num_vars - 1, -1, -1):
-            terms = res_plus_1d(terms, var)
-            steps.append([_term_key(t) for t in terms])
-    except (ConvergenceError, GenericityError) as exc:
+            terms, tied = res_plus_1d(terms, var)
+            steps.append(([_term_key(t) for t in terms], tied))
+    except GenericityError as exc:
         steps.append((type(exc), str(exc)))
     return steps
 
@@ -521,8 +528,10 @@ def _random_residue_problem(rng):
         # a few terms keep their forms as written, so that one pole can
         # collapse a proportional denominator
         raw = rng.random() < 0.15
-        terms.append(RatExpTerm(n, num, phase, tuple(dens)) if raw
-                     else make_term(n, num, phase, dens))
+        term = (RatExpTerm(n, num, phase, tuple(dens)) if raw
+                else make_term(n, num, phase, dens))
+        term.tie = (1009, 1009 ** 2, 1009 ** 3)[:n]
+        terms.append(term)
     return terms
 
 
@@ -535,9 +544,9 @@ def test_pole_evaluation_matches_the_derivative_reference(monkeypatch):
     monkeypatch.setattr(residues, "_residue_at_pole", _reference_residue_at_pole)
     old = [_res_plus_chain(terms) for terms in problems]
     assert new == old
-    errors = [steps[-1][0] for steps in old if isinstance(steps[-1], tuple)]
-    assert ConvergenceError in errors and GenericityError in errors
-    assert len(errors) < len(problems) // 4
+    errors = [steps[-1][0] for steps in old if steps[-1][0] is GenericityError]
+    assert errors and len(errors) < len(problems) // 4
+    assert any(step[1] is True for steps in old for step in steps)
 
 
 def _power_product(point, mono):
@@ -560,7 +569,7 @@ def test_pole_of_order_m_is_the_taylor_sum():
     taylor = sum(c * p ** (m - 1 - k) / factorial(m - 1 - k)
                  for (k,), c in q.coeffs.items()) / F(a) ** m
     assert taylor == F(17, 54)
-    out = res_plus_1d([RatExpTerm(1, q, (p,), (((a,), m),))], 0)
+    out, _ = res_plus_1d([RatExpTerm(1, q, (p,), (((a,), m),))], 0)
     assert len(out) == 1 and out[0].dens == () and out[0].phase == (0,)
     assert out[0].numerator == TruncatedSeries.constant(F(17, 54), 1)
 
