@@ -7,8 +7,8 @@ Run:  python demos/residue_kernel.py
 
 from fractions import Fraction as F
 
-from orbitrr import (TruncatedSeries, build_cone, make_term, partition_fiber_volume,
-                     res_cone, res_plus_1d)
+from orbitrr import TruncatedSeries, make_term, partition_fiber_volume, res_cone, res_plus_1d
+from orbitrr.linalg import vec_str
 
 one = TruncatedSeries.constant(1, 1)
 
@@ -18,17 +18,17 @@ print("res+ of e^{-2z}/z (negative phase):",
       res_plus_1d([make_term(1, one, (F(-2),), [((F(1),), 1)])], 0)[0] or 0)
 
 weights = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
-cone = build_cone(weights, (F(1), F(3)))
+xi = (F(1), F(3))
 print()
-print("cone weights:", cone.weights, " xi:", cone.xi)
+print("weights:", " ".join(map(vec_str, weights)), " xi:", vec_str(xi))
 
 one2 = TruncatedSeries.constant(1, 2)
 for p in [(F(1), F(1)), (F(2), F(1)), (F(1), F(3)), (F(5), F(2))]:
     term = make_term(2, one2, p, [(w, 1) for w in weights])
-    value, _ = res_cone([term], cone)
+    value, _ = res_cone([term], xi)
     volume = partition_fiber_volume(weights, p)
     print("p = %-14s  iterated residue = %-5s  chamber volume = %-5s  %s"
-          % (p, value, volume, "agree" if value == volume else "DISAGREE"))
+          % (vec_str(p), value, volume, "agree" if value == volume else "DISAGREE"))
 
 print()
 print("the volume function of this weight system is min(p1, p2), piecewise")

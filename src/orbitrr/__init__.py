@@ -15,8 +15,7 @@ from .localization import (BaseIntersectionOracle, CalibrationRegistry, FixedPoi
                            todd_restriction_identity)
 from .multiplicities import (tensor_multiplicity, weight_count_dimension,
                              weight_multiplicities)
-from .residues import (Cone, RatExpTerm, build_cone, make_term, merge_terms, res_cone,
-                       res_plus_1d)
+from .residues import RatExpTerm, make_term, merge_terms, res_cone, res_plus_1d
 from .roots import (RootSystem, WeylElement, build_root_system, enumerate_weyl_group,
                     parse_group_label)
 from .series import TruncatedSeries, flag_integral, positive_root_product
@@ -25,11 +24,11 @@ from .volumes import partition_fiber_volume
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseIntersectionOracle", "CalibrationRegistry", "Cone",
+    "BaseIntersectionOracle", "CalibrationRegistry",
     "ConfigurationError", "DegenerateOrbitError", "ExactDivisionError",
     "FixedPointDatum", "GeneratorDeficiencyError", "GenericityError",
     "InadmissibleInputError", "InternalInconsistencyError", "RatExpTerm", "RootSystem",
-    "SingularValueError", "TruncatedSeries", "WeylElement", "build_cone",
+    "SingularValueError", "TruncatedSeries", "WeylElement",
     "build_root_system", "character_series", "enumerate_weyl_group", "express_invariant",
     "fibration_rr_base", "fibration_rr_residue", "flag_integral", "fundamental_degrees",
     "invariant_generators", "make_term", "merge_terms", "orbit_volume", "parse_group_label",

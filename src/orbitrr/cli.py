@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .characters import character_series, orbit_volume, weyl_dim
 from .errors import ExactDivisionError, GenericityError, InternalInconsistencyError
@@ -25,7 +24,7 @@ from .linalg import vec_str
 from .localization import (CalibrationRegistry, _fold, fibration_rr_base, fibration_rr_residue,
                            product_orbit_fixed_data, rr_orbit_fixedpoint)
 from .multiplicities import tensor_multiplicity
-from .residues import build_cone, res_cone
+from .residues import res_cone
 from .roots import parse_group_label
 from .verify import DEFAULT_SEED, run_suite
 
@@ -82,13 +81,7 @@ def _cmd_rr_orbit(args) -> int:
 
 def _cmd_jk_residue(args) -> int:
     problem = load_residue_problem(args.input)
-    try:
-        cone = build_cone([form for term in problem["terms"] for form, _ in term.dens],
-                          problem["xi"])
-    except GenericityError as exc:
-        # xi is part of the problem file, and no residue has been taken yet
-        raise ValueError(str(exc)) from exc
-    value, _ = res_cone(problem["terms"], cone, problem["coords"])
+    value, _ = res_cone(problem["terms"], problem["xi"])
     _emit({"value": fraction_to_str(value)})
     return 0
 
@@ -112,8 +105,8 @@ def _cmd_fibration(args) -> int:
                                             tuple(args.k * c for c in lam))
     if args.route in ("residue", "both"):
         registry = CalibrationRegistry()
-        value = fibration_rr_residue(points, rs, lam, args.k, registry=registry)
-        doc["residue"] = fraction_to_str(value)
+        residue = fibration_rr_residue(points, rs, lam, args.k, registry=registry)
+        doc["residue"] = fraction_to_str(residue)
         constant = registry.constant_for(rs, len(points[0].tangent_weights))
         doc["constant"] = fraction_to_str(constant)
     if args.route in ("base", "both"):
@@ -128,9 +121,10 @@ def _cmd_fibration(args) -> int:
         if dims != {oracle.top_degree}:
             raise ValueError("base fixture top degree %d does not fit the fixture's dim_C M_0 %s"
                              % (oracle.top_degree, vec_str(sorted(dims)) or "(no fixed points)"))
-        doc["base"] = fraction_to_str(fibration_rr_base(oracle, rs, lam, args.k))
+        base = fibration_rr_base(oracle, rs, lam, args.k)
+        doc["base"] = fraction_to_str(base)
     if args.route == "both":
-        diff = Fraction(doc["residue"]) - Fraction(doc["base"])
+        diff = residue - base
         doc["difference"] = fraction_to_str(diff)
         _emit(doc)
         if diff != 0:

@@ -9,6 +9,7 @@ standalone residue problems.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 from .linalg import Vec, rref, vec
@@ -19,8 +20,11 @@ from .series import TruncatedSeries
 
 
 def fraction_to_str(x) -> str:
+    # str(Decimal(n)) has no digit limit; str(n) refuses an exact result
+    # longer than sys.get_int_max_str_digits(), a limit that guards parsing
     x = Fraction(x)
-    return str(x)
+    text = str(Decimal(x.numerator))
+    return text if x.denominator == 1 else "%s/%s" % (text, Decimal(x.denominator))
 
 
 def parse_fraction(s) -> Fraction:
@@ -125,7 +129,15 @@ def parse_weight_labels(text: str) -> Vec:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """json.dumps(obj, sort_keys=True, separators=(",", ":")) and a newline,
+    with ints of any length, as in ``fraction_to_str``."""
+    def enc(o):
+        if isinstance(o, dict):
+            return "{%s}" % ",".join(json.dumps(k) + ":" + enc(o[k]) for k in sorted(o))
+        if isinstance(o, (list, tuple)):
+            return "[%s]" % ",".join(map(enc, o))
+        return str(Decimal(o)) if type(o) is int else json.dumps(o)
+    return enc(obj) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -185,16 +197,17 @@ def load_base_oracle(path) -> tuple[RootSystem, BaseIntersectionOracle]:
 
 def parse_residue_problem(doc: dict) -> dict:
     what = "residue problem"
-    _refuse_unknown(doc, {"vars", "terms", "xi", "coords"}, what)
+    _refuse_unknown(doc, {"vars", "terms", "xi"}, what)
     num_vars = _parse_int(_field(doc, "vars", what), "vars", 1)
+    # every length is checked against vars before the default numerator,
+    # the one object whose size is vars rather than the input's, is built
+    xi = _parse_covector(_field(doc, "xi", what), num_vars, "xi")
     terms: list[RatExpTerm] = []
     for t in _list_field(doc, "terms", what):
         if not isinstance(t, dict):
             raise ValueError("term %d must be an object, not %r" % (len(terms), t))
         term = "term %d" % len(terms)
         _refuse_unknown(t, {"num", "phase", "dens"}, term)
-        rows = _pair_list(t, "num", term) if "num" in t else [[[0] * num_vars, "1"]]
-        num = TruncatedSeries(num_vars, _parse_table(rows, "num"), None)
         phase = _parse_covector(_field(t, "phase", term), num_vars, "phase")
         dens = [(_parse_covector(form, num_vars, "denominator"),
                  _parse_int(mult, "denominator multiplicity", 1))
@@ -203,20 +216,10 @@ def parse_residue_problem(doc: dict) -> dict:
             # such a term has no iterated residue: it would silently add 0
             raise ValueError("the denominators of term %d do not span the %d variables"
                              % (len(terms), num_vars))
+        rows = _pair_list(t, "num", term) if "num" in t else [[[0] * num_vars, "1"]]
+        num = TruncatedSeries(num_vars, _parse_table(rows, "num"), None)
         terms.append(make_term(num_vars, num, phase, dens))
-    coords = doc.get("coords")
-    if coords is not None:
-        if not isinstance(coords, list) or len(coords) != num_vars:
-            raise ValueError("coords must be null or a list of %d basis vectors, not %r"
-                             % (num_vars, coords))
-        cols = [_parse_covector(c, num_vars, "basis vector") for c in coords]
-        coords = tuple(tuple(cols[j][i] for j in range(num_vars)) for i in range(num_vars))
-    return {
-        "vars": num_vars,
-        "terms": terms,
-        "xi": _parse_covector(_field(doc, "xi", what), num_vars, "xi"),
-        "coords": coords,
-    }
+    return {"vars": num_vars, "terms": terms, "xi": xi}
 
 
 def load_residue_problem(path) -> dict:

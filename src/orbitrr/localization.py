@@ -41,7 +41,7 @@ from .errors import (ConfigurationError, DegenerateOrbitError, GenericityError,
                      InadmissibleInputError, InternalInconsistencyError, SingularValueError)
 from .invariants import express_invariant, fundamental_degrees
 from .linalg import Vec, mat_det, vec, vec_str, vec_sub
-from .residues import RatExpTerm, build_cone, canonical_dens, res_cone
+from .residues import RatExpTerm, canonical_dens, res_cone
 from .roots import RootSystem, WeylElement, enumerate_weyl_group
 from .series import TruncatedSeries, positive_root_product
 
@@ -350,9 +350,8 @@ def raw_fibration_residue(points, rs: RootSystem, lam_labels, k: int) -> Fractio
     terms = _fibration_terms(folded, rs, lam, k)
     weights = list(dict.fromkeys(list(tangents) + list(rs.positive_roots)))
     phases = [t.phase for t in terms if any(c != 0 for c in t.phase)]
-    cone = build_cone(weights, _generic_direction(weights + phases, rs.rank))
     try:
-        return res_cone(terms, cone)[0]
+        return res_cone(terms, _generic_direction(weights + phases, rs.rank))[0]
     except GenericityError as exc:
         # xi is generic against every nonzero phase and proportional forms
         # are merged, so only a phase on a wall can fail the residue

@@ -1,5 +1,5 @@
 """One-variable residue sums with a tie-broken sign rule, and the iterated
-multidimensional residue attached to a cone.
+multidimensional residue attached to the chamber of a vector xi.
 
 The objects are sums of terms q(X) e^{<phase,X>} / prod_j beta_j(X)^{m_j}
 with polynomial numerator, rational linear phase and linear-form
@@ -24,7 +24,12 @@ The residue at a pole of order m is one Taylor shift: the numerator is
 substituted once, x_var := x_var + b with b the pole location, which puts
 D^k q(b) / k! at x_var^k, and Leibniz's rule in closed form combines these
 with e^{pt} and the expansions of the other denominators.
-``RatExpTerm.pull_back`` serves the frame change of ``res_cone`` only.
+
+``res_cone`` computes in one frame, which xi alone determines: the
+standard basis without e_j, followed by xi, for the last j with
+xi_j != 0.  The value depends on the chamber of xi, not on the frame,
+so no other frame is offered.  ``RatExpTerm.pull_back`` serves this
+frame change only.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import GenericityError
-from .linalg import Mat, Vec, identity, mat_det, primitive_covector, vec_str
+from .linalg import Mat, Vec, identity, mat_det, primitive_covector, vec_dot, vec_str
 from .series import TruncatedSeries
 
 LinearForm = tuple[int, ...]
@@ -154,7 +159,7 @@ def _residue_at_pole(term: RatExpTerm, var: int, pole_index: int) -> list[RatExp
     for total in range(mult if any(active) else 1):
         s = mult - 1 - total  # N_s in integers over den Q^s s!, with p = P/Q
         nums: dict = {}
-        for k in range(s + 1):
+        for k in [k for k in range(s + 1) if slices[k]]:  # only powers of t that q(b+t) has
             w = p.numerator ** (s - k) * p.denominator ** k * factorial(s) // factorial(s - k)
             for mono, c in slices[k].items():
                 nums[mono] = nums.get(mono, 0) + c * w
@@ -200,77 +205,39 @@ def res_plus_1d(terms: list[RatExpTerm], var: int) -> tuple[list[RatExpTerm], bo
     return sorted(merge_terms(out), key=RatExpTerm.signature), tied
 
 
-@dataclass(frozen=True)
-class Cone:
-    """The chamber {X : beta_i(X) > 0} cut out by sign-adjusted weights."""
-
-    weights: tuple[Vec, ...]
-    xi: Vec
-
-    def contains(self, v: Vec) -> bool:
-        return all(sum(b * x for b, x in zip(form, v)) > 0 for form in self.weights)
+def _frame(xi: Vec) -> Mat:
+    """The coordinates of ``res_cone``: columns e_i for i != j, then xi,
+    where j is the last index with xi_j != 0."""
+    n = len(xi)
+    j = max(i for i in range(n) if xi[i])
+    cols = [tuple(int(i == k) for i in range(n)) for k in range(n) if k != j] + [tuple(xi)]
+    return tuple(tuple(col[i] for col in cols) for i in range(n))
 
 
-def build_cone(weights, xi) -> Cone:
-    """Flip each weight so it pairs positively with xi; error on a zero
-    pairing (xi fails to be generic).  Entries keep their type, so an int
-    cone stays in integers."""
-    xi = tuple(xi)
-    flipped = []
-    for w in weights:
-        w = tuple(w)
-        val = sum(a * b for a, b in zip(w, xi))
-        if val == 0:
-            raise GenericityError("xi pairs to zero with weight %s" % vec_str(w))
-        flipped.append(tuple(-c for c in w) if val < 0 else w)
-    return Cone(weights=tuple(flipped), xi=xi)
+def res_cone(terms: list[RatExpTerm], xi: Vec) -> tuple[Fraction, int]:
+    """Iterated residue of a sum of terms over the chamber of xi, at the
+    phases perturbed by eps s for the fixed tie s = (1009, 1009^2, ...).
 
-
-def _default_coords(cone: Cone, n: int) -> Mat:
-    """Basis whose last vector is xi (interior to the cone), completed by
-    standard basis vectors; columns are the basis vectors."""
-    from itertools import combinations
-
-    std = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    for combo in combinations(range(n), n - 1):
-        cols = [std[j] for j in combo] + [cone.xi]
-        mat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        if mat_det(mat) != 0:
-            return mat
-    raise GenericityError("could not complete xi to a basis")  # pragma: no cover
-
-
-def res_cone(terms: list[RatExpTerm], cone: Cone,
-             coords: Mat | None = None) -> tuple[Fraction, int]:
-    """Iterated residue of a sum of terms over the cone, at the phases
-    perturbed by eps s for the fixed tie s = (1009, 1009^2, ...).
-
-    Applies the one-variable residue innermost in the last coordinate,
-    then outward, and multiplies by the Jacobian |det coords| so the
-    result does not depend on the admissible coordinate choice.  Where
-    the tie decided a term, the residue is evaluated once more with -s;
-    two different values mean the phase lies on a wall, and it is
-    refused.  A frame that is the identity matrix (as on every rank-1
-    fibration) skips the pull-back: the terms are canonical, so it would
-    only rebuild equal terms.
+    Computes in the frame of ``_frame(xi)``: the one-variable residue
+    innermost in the last coordinate, then outward, times the Jacobian
+    |det frame|.  Where the tie decided a term, the residue is evaluated
+    once more with -s; two different values mean the phase lies on a
+    wall, and it is refused.  The frame of a rank-1 fibration is the
+    identity matrix, which skips the pull-back: the terms are canonical,
+    so it would only rebuild equal terms.
 
     Returns (value, 1 if the -s side was evaluated else 0).
     """
     if not terms:
         return Fraction(0), 0
-    n = terms[0].num_vars
-    frame = coords if coords is not None else _default_coords(cone, n)
-    if len(frame) != n:
-        raise ValueError("coordinate matrix has wrong size")
-    last = tuple(frame[i][n - 1] for i in range(n))
-    if not cone.contains(last):
-        raise ValueError("last coordinate vector must lie inside the cone")
-    if mat_det(frame) == 0:
-        raise ValueError("coordinate vectors must form a basis")
+    for form in dict.fromkeys(form for t in terms for form, _ in t.dens):
+        if not vec_dot(form, xi):
+            raise ValueError("xi pairs to zero with weight %s" % vec_str(form))
+    frame = _frame(xi)
     # the frame change is linear and keeps distinct signatures distinct,
     # so merging once here spares both sides the duplicate transforms
     terms = merge_terms(terms)
-    tie = tuple(_TIE_BASE ** (i + 1) for i in range(n))
+    tie = tuple(_TIE_BASE ** (i + 1) for i in range(len(xi)))
     value, tied = _side(terms, frame, tie)
     if not tied:
         return value, 0

@@ -1,5 +1,8 @@
 import json
+import sys
+import tracemalloc
 from fractions import Fraction as F
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,9 @@ import pytest
 from orbitrr.cli import main
 from orbitrr.jsonio import (fixture_path, fraction_to_str, load_base_oracle,
                             load_fixed_points, load_residue_problem, parse_fixed_points,
-                            parse_fraction, parse_weight_labels)
+                            parse_fraction, parse_residue_problem, parse_weight_labels)
+from orbitrr.localization import rr_orbit_fixedpoint
+from orbitrr.roots import build_root_system
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent.parent / "src" / "orbitrr" / "fixtures"
@@ -328,6 +333,41 @@ def test_exit_code_genericity(capsys, tmp_path):
     assert "one-sided values 1 and 0" in captured.err
 
 
+def test_long_exact_results_are_printed(capsys, tmp_path):
+    # both values pass the interpreter's int-to-str digit limit, which
+    # guards parsing; they used to be computed and then exit 1
+    limit = sys.get_int_max_str_digits()
+    k = 10 ** 400
+    rr = run(capsys, "rr-orbit", "--group", "D4", "--weight", "1,1,1,1", "--k", str(k))
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps({"vars": 1, "xi": ["1"],
+                                "terms": [{"phase": ["1"], "dens": [[["1"], 3000]]}]}))
+    residue = run(capsys, "jk-residue", "--input", str(path))
+    assert sys.get_int_max_str_digits() == limit
+    expected = rr_orbit_fixedpoint(build_root_system("D", 4), (1, 1, 1, 1), k)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(expected)) > limit > 0
+        assert rr == (0, '{"group":"D4","k":%d,"rr":%d,"weight":"1,1,1,1"}\n' % (k, expected))
+        assert residue == (0, '{"value":"1/%d"}\n' % factorial(2999))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_residue_problem_lengths_are_checked_before_allocating():
+    # vars 10^7 against a 1-entry xi used to build the default numerator's
+    # 10^7-entry exponent tuple first (vars 10^9 asked for about 16 GB)
+    doc = {"vars": 10 ** 7, "xi": ["1"], "terms": [{"phase": ["1"], "dens": [[["1"], 1]]}]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="has 1 entries, expected 10000000$"):
+            parse_residue_problem(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
 def test_verify_single_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "identity")
     assert code == 0
@@ -398,7 +438,6 @@ def _base_oracle(**changes):
     ("jk-residue", _residue_problem(terms=_residue_problem()["terms"] + [5]), "term 1"),
     ("jk-residue", _residue_problem(term={"dens": 5}), "dens"),
     ("jk-residue", _residue_problem(term={"num": 3}), "num"),
-    ("jk-residue", _residue_problem(coords=5), "coords"),
     ("jk-residue", _residue_problem(term={"dens": [[["1", "0"], 0], [["0", "1"], 1]]}),
      "multiplicity"),
     ("jk-residue", _residue_problem(term={"dens": [[["1", "0"], -1], [["0", "1"], 1]]}),
@@ -413,7 +452,6 @@ def _base_oracle(**changes):
                    "fixed_points": [{"label": "p", "moment": ["1/0"], "tangent_weights": [["2"]]}]},
      "denominator"),
     ("jk-residue", _residue_problem(xi=["1/0", "1"]), "denominator"),
-    ("jk-residue", _residue_problem(coords=[["1", "3"], ["1", "3"]]), "basis"),
     ("jk-residue", {"vars": 1, "xi": ["1"],
                     "terms": [{"num": [[[-2], "1"]], "phase": ["1"], "dens": [[["1"], 1]]}]},
      "nonnegative"),
@@ -455,22 +493,24 @@ def _base_oracle(**changes):
         {"label": "p", "moment": ["1"], "tangent_weights": [["2"]]},
         {"label": "q", "moment": ["-1"], "tangent_weights": [["-2"], ["-2"]]}]},
      "fixed points disagree on the manifold dimension"),
-    ("jk-residue", _residue_problem(coords=[["1", "0"], ["-1", "-3"]]),
-     "last coordinate vector must lie inside the cone"),
+    # the frame follows from xi: a frame left in an old problem file is
+    # refused, not ignored
+    ("jk-residue", _residue_problem(coords=[["1", "0"], ["1", "3"]]),
+     "residue problem has unknown field 'coords'"),
 ], ids=["scalar-moment", "top-level-list", "short-phase", "non-spanning-denominators",
         "non-object-fixed-point", "number-fixed-points", "string-fixed-points",
         "number-group", "number-terms", "number-term", "number-dens", "number-num",
-        "number-coords", "zero-multiplicity", "negative-multiplicity", "zero-vars",
+        "zero-multiplicity", "negative-multiplicity", "zero-vars",
         "number-generators", "number-pairing", "null-top-degree", "long-pairing-monomial",
         "short-todd-monomial", "zero-denominator-moment", "zero-denominator-xi",
-        "singular-coords", "negative-num-exponent", "negative-todd-exponent",
+        "negative-num-exponent", "negative-todd-exponent",
         "negative-pairing-exponent", "repeated-num-monomial", "repeated-pairing-monomial",
         "repeated-todd-monomial", "degenerate-xi", "missing-fixture-group",
         "missing-fixed-points", "missing-moment", "missing-tangent-weights", "missing-vars",
         "missing-xi", "missing-phase", "missing-dens", "missing-base-group",
         "missing-top-degree", "missing-todd", "unknown-term-key", "unknown-problem-key",
         "unknown-base-key", "unknown-fixture-key", "base-of-another-group",
-        "no-fixed-points", "mixed-dimensions", "frame-outside-the-cone"])
+        "no-fixed-points", "mixed-dimensions", "stale-coords"])
 def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc, fragment):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

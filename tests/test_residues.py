@@ -2,6 +2,7 @@ import functools
 import json
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from math import factorial
 from pathlib import Path
 
@@ -9,8 +10,8 @@ import pytest
 
 from orbitrr.errors import GenericityError
 from orbitrr.jsonio import fixture_path, load_residue_problem
-from orbitrr.linalg import identity, mat_det
-from orbitrr.residues import (RatExpTerm, build_cone, make_term, merge_terms, res_cone,
+from orbitrr.linalg import identity, mat_det, mat_inv, mat_mul, mat_vec
+from orbitrr.residues import (RatExpTerm, _frame, make_term, merge_terms, res_cone,
                               res_plus_1d)
 from orbitrr.series import TruncatedSeries
 from orbitrr.volumes import partition_fiber_volume
@@ -91,33 +92,21 @@ def test_canonical_term_form():
     assert t.numerator.constant_term() == F(-1, 2)
 
 
-def test_build_cone_examples():
-    weights = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
-    assert build_cone(weights, (F(1), F(2))).weights == tuple(weights)
-    assert build_cone(weights, (F(-1), F(-2))).weights == tuple(
-        tuple(-c for c in w) for w in weights)
-    with pytest.raises(GenericityError):
-        build_cone(weights, (F(1), F(-1)))
-
-
 def test_res_cone_one_variable_reduces():
     t = simple_term((F(1),), [((F(1),), 1)])
-    cone = build_cone([(F(1),)], (F(1),))
-    value, tied = res_cone([t], cone)
+    value, tied = res_cone([t], (F(1),))
     assert value == 1 and tied == 0
 
 
 def test_res_cone_worked_examples():
-    cone = build_cone([(1, 0), (0, 1), (1, 1)], (F(1), F(3)))
     t = simple_term((F(1), F(1)), [((F(1), F(0)), 1), ((F(0), F(1)), 1), ((F(1), F(1)), 1)])
-    assert res_cone([t], cone)[0] == 1
+    assert res_cone([t], (F(1), F(3)))[0] == 1
     t2 = simple_term((F(1), F(1)), [((F(1), F(0)), 1), ((F(0), F(1)), 1)])
-    cone2 = build_cone([(1, 0), (0, 1)], (F(1), F(3)))
-    assert res_cone([t2], cone2)[0] == 1
+    assert res_cone([t2], (F(1), F(3)))[0] == 1
 
 
 def test_res_cone_linearity():
-    cone = build_cone([(1, 0), (0, 1), (1, 1)], (F(1), F(3)))
+    xi = (F(1), F(3))
     rng = random.Random(2)
     for _ in range(5):
         p1 = (F(rng.randint(1, 3)), F(rng.randint(1, 3)))
@@ -125,39 +114,44 @@ def test_res_cone_linearity():
         dens = [((F(1), F(0)), 1), ((F(0), F(1)), 1), ((F(1), F(1)), 1)]
         t1, t2 = simple_term(p1, dens), simple_term(p2, dens)
         c = F(rng.randint(1, 5), rng.randint(1, 3))
-        v1 = res_cone([t1], cone)[0]
-        v2 = res_cone([t2], cone)[0]
-        both = res_cone([t1, _scaled(t2, c)], cone)[0]
+        v1 = res_cone([t1], xi)[0]
+        v2 = res_cone([t2], xi)[0]
+        both = res_cone([t1, _scaled(t2, c)], xi)[0]
         assert both == v1 + c * v2
 
 
+def _random_unimodular(rng, n):
+    """P L U for a random permutation matrix P and unit lower and upper
+    triangular integer matrices L and U with entries in [-1, 1]: an
+    integer matrix of determinant +-1."""
+    def unit_lower():
+        return tuple(tuple(rng.randint(-1, 1) if j < i else int(i == j) for j in range(n))
+                     for i in range(n))
+    return tuple(rng.sample(mat_mul(unit_lower(), tuple(zip(*unit_lower()))), n))
+
+
+def _changed_variables(terms, xi, m):
+    """The problem in the variables y of x = m y: each term pulled back by
+    m, and xi as m^-1 xi.  For unimodular m the residue is the same."""
+    return [t.pull_back(m) for t in terms], mat_vec(mat_inv(m), xi)
+
+
 def test_res_cone_coordinate_robustness():
-    # ten admissible frames, same value
-    cone = build_cone([(1, 0), (0, 1), (1, 1)], (F(2), F(3)))
+    # ten unimodular changes of variables, same value
+    xi = (F(2), F(3))
     t = simple_term((F(2), F(1)), [((F(1), F(0)), 1), ((F(0), F(1)), 1), ((F(1), F(1)), 1)])
-    reference = res_cone([t], cone)[0]
+    reference = res_cone([t], xi)[0]
     rng = random.Random(17)
-    found = 0
-    while found < 10:
-        cols = [(F(rng.randint(-3, 3)), F(rng.randint(-3, 3))),
-                (F(rng.randint(1, 4)), F(rng.randint(1, 4)))]
-        coords = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
-        if mat_det(coords) == 0 or not cone.contains(cols[1]):
-            continue
-        try:
-            value = res_cone([t], cone, coords)[0]
-        except GenericityError:
-            continue
-        assert value == reference
-        found += 1
+    for _ in range(10):
+        assert res_cone(*_changed_variables([t], xi, _random_unimodular(rng, 2)))[0] == reference
 
 
 def test_res_cone_scaled_frame_has_unit_jacobian_effect():
-    # doubling the basis vector halves the residue and doubles the Jacobian
+    # xi = (2,) doubles the basis vector: that halves the residue and
+    # doubles the Jacobian
     t = simple_term((F(1),), [((F(1),), 1)])
-    cone = build_cone([(F(1),)], (F(1),))
-    coords = ((F(2),),)
-    assert res_cone([t], cone, coords)[0] == 1
+    assert _frame((F(2),)) == ((F(2),),)
+    assert res_cone([t], (F(2),))[0] == 1
 
 
 def test_res_cone_output_closure_invariants():
@@ -176,10 +170,9 @@ def test_res_cone_refuses_phase_on_a_denominator_ray():
     # the phase is proportional to one denominator form, violating the
     # proper-span precondition: it lies on a wall
     t = simple_term((F(0), F(1)), [((F(1), F(0)), 1), ((F(0), F(1)), 1)])
-    cone = build_cone([(1, 0), (0, 1)], (F(1), F(1)))
-    coords = ((F(1), F(1)), (F(0), F(1)))  # last column (1,1) inside the cone
+    assert _frame((F(1), F(1))) == ((F(1), F(1)), (F(0), F(1)))
     with pytest.raises(GenericityError):
-        res_cone([t], cone, coords)
+        res_cone([t], (F(1), F(1)))
 
 
 def test_res_cone_refuses_a_wall_by_its_one_sided_values():
@@ -187,80 +180,91 @@ def test_res_cone_refuses_a_wall_by_its_one_sided_values():
     # the residue is 1 with the tie and 0 against it
     marginal = simple_term((F(0),), [((F(1),), 1)])
     with pytest.raises(GenericityError, match="one-sided values 1 and 0$"):
-        res_cone([marginal], build_cone([(F(1),)], (F(1),)))
+        res_cone([marginal], (F(1),))
     t = simple_term((F(0), F(1)), [((F(1), F(0)), 1), ((F(0), F(1)), 1)])
-    cone = build_cone([(1, 0), (0, 1)], (F(1), F(1)))
-    coords = ((F(1), F(1)), (F(0), F(1)))
     with pytest.raises(GenericityError, match="one-sided values 1 and 0$"):
-        res_cone([t], cone, coords)
+        res_cone([t], (F(1), F(1)))
     dens = [((F(1), F(0), F(0)), 1), ((F(0), F(1), F(0)), 1), ((F(0), F(0), F(1)), 1)]
     on_ray = make_term(3, TruncatedSeries.constant(1, 3), (F(0), F(0), F(1)), dens)
-    cone = build_cone([d for d, _ in dens], (F(1), F(1), F(1)))
     with pytest.raises(GenericityError, match="one-sided values 1 and 0$"):
-        res_cone([on_ray], cone)
+        res_cone([on_ray], (F(1), F(1), F(1)))
 
 
 def test_res_cone_refuses_a_tie_that_decides_nothing():
     # the tie (1009, 1009^2) is 1009 times the form x + 1009 y, so at the
     # pole of that form it pulls back to zero, as the phase does
     term = simple_term((0, 0), [((1, 1009), 1), ((1, 0), 1)])
-    cone = build_cone([f for f, _ in term.dens], (1, 1))
     with pytest.raises(GenericityError, match="not decided by the tie 0,0$"):
-        res_cone([term], cone)
+        res_cone([term], (1, 1))
+
+
+def test_frame_is_the_first_standard_completion_of_xi():
+    # the closed form is the basis that a search over n - 1 standard
+    # vectors, in combinations order and completed by xi, accepts first
+    rng = random.Random(5)
+    for _ in range(400):
+        xi = tuple(rng.choice([0, 0, 1, -2, F(1, 3)]) for _ in range(rng.randint(1, 4)))
+        if not any(xi):
+            continue
+        std = identity(len(xi))
+        frames = (tuple(zip(*[std[j] for j in combo], xi))
+                  for combo in combinations(range(len(xi)), len(xi) - 1))
+        assert _frame(xi) == next(frame for frame in frames if mat_det(frame))
 
 
 def _unlucky_frame():
     # valid input (phase off every proper span of the denominator forms),
-    # but the chosen frame makes an intermediate phase vanish on a term
-    # with too little decay, so the tie decides it
+    # but the frame of xi = (1, 1, 1) makes an intermediate phase vanish on
+    # a term with too little decay, so the tie decides it
     num = TruncatedSeries(3, {(1, 0, 0): F(1)})
     dens = [((F(1), F(0), F(0)), 1), ((F(0), F(1), F(0)), 1), ((F(0), F(0), F(1)), 1)]
     term = make_term(3, num, (F(-1), F(2), F(1)), dens)
-    cone = build_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (F(1), F(1), F(1)))
-    bad = ((F(1), F(0), F(1)), (F(0), F(1), F(1)), (F(0), F(0), F(1)))
-    return term, cone, bad
+    xi = (F(1), F(1), F(1))
+    assert _frame(xi) == ((F(1), F(0), F(1)), (F(0), F(1), F(1)), (F(0), F(0), F(1)))
+    return term, xi
 
 
 def test_res_cone_answers_an_unlucky_frame_in_place():
-    # the given frame gives the value of a frame where no phase vanishes,
-    # after evaluating both sides of the tie
-    term, cone, bad = _unlucky_frame()
-    value, tied = res_cone([term], cone, bad)
+    # the frame of xi gives the value of a frame where no phase vanishes,
+    # after evaluating both sides of the tie: in the variables of
+    # x = good y, the frame of good^-1 (1, 2, 1) = (0, 0, 1) is the identity
+    term, xi = _unlucky_frame()
+    value, tied = res_cone([term], xi)
     assert tied == 1
     good = ((F(1), F(1), F(1)), (F(0), F(1), F(2)), (F(0), F(0), F(1)))
-    reference, _ = res_cone([term], cone, good)
-    assert value == reference
+    assert res_cone([term.pull_back(good)], (F(0), F(0), F(1))) == (value, 0)
 
 
 def test_res_cone_of_repeated_terms_on_an_unlucky_frame():
     # merging repeated terms changes neither the value nor the sides evaluated
-    term, cone, bad = _unlucky_frame()
-    value, tied = res_cone([term], cone, bad)
+    term, xi = _unlucky_frame()
+    value, tied = res_cone([term], xi)
     assert tied == 1
-    assert res_cone([term] * 3, cone, bad) == (3 * value, tied)
-    assert res_cone([term, _scaled(term, -1)], cone, bad)[0] == 0
+    assert res_cone([term] * 3, xi) == (3 * value, tied)
+    assert res_cone([term, _scaled(term, -1)], xi)[0] == 0
 
 
 def test_unlucky_frame_fixture_is_the_unlucky_frame():
-    # the shipped problem is the one above, explicit frame included
-    term, cone, bad = _unlucky_frame()
+    # the shipped problem is the one above, and its xi picks the frame
+    term, xi = _unlucky_frame()
     problem = load_residue_problem(str(fixture_path("jk_unlucky_frame.json")))
-    assert problem["terms"] == [term] and problem["coords"] == bad
-    assert problem["xi"] == cone.xi
-    assert res_cone(problem["terms"], cone, problem["coords"]) == (0, 1)
+    assert problem == {"vars": 3, "terms": [term], "xi": xi}
+    assert res_cone(problem["terms"], problem["xi"]) == (0, 1)
 
 
 def test_res_cone_takes_no_seed():
     # the value does not depend on the frame, and res_cone draws nothing
-    term, cone, bad = _unlucky_frame()
+    # and takes no frame
+    term, xi = _unlucky_frame()
     with pytest.raises(TypeError):
-        res_cone([term], cone, bad, seed=3)
+        res_cone([term], xi, seed=3)
+    with pytest.raises(TypeError):
+        res_cone([term], xi, _frame(xi))
 
 
 def _random_cone_problem(rng):
     """1-3 terms in 3 or 4 variables with sparse forms of multiplicity 1-2,
-    a cone vector off every denominator wall, and an integer frame ending
-    in it."""
+    and a vector xi off every denominator wall."""
     n = rng.choice([3, 3, 3, 4])
     entries = [0, 0, 0, 0, 0, 1, -1]
     terms = []
@@ -278,17 +282,18 @@ def _random_cone_problem(rng):
     while True:
         xi = tuple(rng.randint(1, 5) for _ in range(n))
         if all(sum(a * b for a, b in zip(f, xi)) for f in forms):
-            return terms, build_cone(forms, xi), _random_frame(rng, xi)
+            _draw_frame(rng, xi)
+            return terms, xi
 
 
-def _random_frame(rng, xi):
-    """An integer frame with head entries in [-2, 2], ending in xi."""
+def _draw_frame(rng, xi):
+    """The draws of an integer frame with head entries in [-2, 2], ending in
+    xi: the corpus was seeded with them, and they keep its sequence."""
     n = len(xi)
     while True:
         cols = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n - 1)] + [xi]
-        frame = tuple(tuple(c[i] for c in cols) for i in range(n))
-        if mat_det(frame):
-            return frame
+        if mat_det(tuple(tuple(c[i] for c in cols) for i in range(n))):
+            return
 
 
 # corpus problems on a wall: the golden value is one side of it (3/4 and
@@ -298,20 +303,25 @@ CORPUS_WALLS = {289}
 
 @functools.cache
 def _corpus():
-    """The golden default-frame values of the seeded cone problems (computed
-    when res_cone still re-drew frames), the problems themselves, and their
-    default-frame outcomes now."""
+    """The golden values of the seeded cone problems (computed when res_cone
+    still re-drew frames), the problems themselves, and their outcomes now."""
     doc = json.loads((Path(__file__).parent / "golden" / "res_cone_corpus.json").read_text())
     rng = random.Random(doc["seed"])
     problems = [_random_cone_problem(rng) for _ in range(doc["problems"])]
-    return doc, problems, [_res_cone_outcome(terms, cone, None) for terms, cone, _ in problems]
+    return doc, problems, [_res_cone_outcome(terms, xi) for terms, xi in problems]
 
 
-def _res_cone_outcome(terms, cone, coords):
+def _res_cone_outcome(terms, xi):
     try:
-        return res_cone(terms, cone, coords)[0]
+        return res_cone(terms, xi)[0]
     except GenericityError as exc:
         return type(exc), str(exc)
+
+
+def _refused(outcome):
+    """A refusal as a set: a wall's one-sided values, or else its message."""
+    tail = outcome[1].partition("one-sided values ")[2]
+    return frozenset(map(F, tail.split(" and ")) if tail else [outcome[1]])
 
 
 def test_res_cone_reproduces_the_corpus_values():
@@ -326,14 +336,21 @@ def test_res_cone_reproduces_the_corpus_values():
 
 
 def test_res_cone_has_one_outcome_per_corpus_problem():
-    # the default frame, the problem's own and two random ones give the
-    # same value or the same refusal
+    # in the problem's variables and after two unimodular changes of
+    # variables, no two values differ, every refusal names the same
+    # message or the same set of one-sided values, and a value next to a
+    # refusal is one of its one-sided values: a wall may look answered in
+    # one coordinate system when its two sides agree there
     _, problems, outcomes = _corpus()
     rng = random.Random(2027)
-    differ = [i for i, ((terms, cone, frame), outcome) in enumerate(zip(problems, outcomes))
-              if any(_res_cone_outcome(terms, cone, coords) != outcome
-                     for coords in (frame, _random_frame(rng, cone.xi),
-                                    _random_frame(rng, cone.xi)))]
+    differ = []
+    for i, ((terms, xi), outcome) in enumerate(zip(problems, outcomes)):
+        seen = [outcome] + [_res_cone_outcome(*_changed_variables(
+            terms, xi, _random_unimodular(rng, len(xi)))) for _ in range(2)]
+        values = {o for o in seen if isinstance(o, F)}
+        refusals = {_refused(o) for o in seen if not isinstance(o, F)}
+        if len(values) > 1 or len(refusals) > 1 or not all(values <= r for r in refusals):
+            differ.append(i)
     assert differ == []
     refused = sum(isinstance(outcome, tuple) for outcome in outcomes)
     assert 10 <= refused <= len(outcomes) - 10
@@ -351,9 +368,8 @@ def test_chamber_volume_agreement_small_corpus():
     for weights, p in cases:
         weights = [(F(a), F(b)) for a, b in weights]
         xi = (F(7), F(5)) if all(7 * a + 5 * b > 0 for a, b in weights) else (F(1), F(5))
-        cone = build_cone(weights, xi)
         t = simple_term(p, [(w, 1) for w in weights])
-        value = res_cone([t], cone)[0]
+        value = res_cone([t], xi)[0]
         assert value == partition_fiber_volume(weights, p), (weights, p)
 
 
@@ -369,8 +385,7 @@ def test_int_forms_give_the_exact_fraction_result(terms, xi):
         built = [RatExpTerm(n, const(n), tuple(map(num, phase)),
                             tuple((tuple(map(num, form)), m) for form, m in dens))
                  for phase, dens in terms]
-        forms = [form for t in built for form, _ in t.dens]
-        return built, build_cone(forms, tuple(map(num, xi)))
+        return built, tuple(map(num, xi))
 
     value, tied = res_cone(*problem(int))
     assert isinstance(value, F) and value != 0
@@ -444,9 +459,14 @@ def test_parsed_terms_pull_back_through_the_identity_unchanged():
     assert terms and all(t.pull_back(identity(problem["vars"])) == t for t in terms)
 
 
-def test_build_cone_error_prints_the_weight_in_label_syntax():
-    with pytest.raises(GenericityError, match="xi pairs to zero with weight 1,-1$"):
-        build_cone([(1, -1)], (1, 1))
+def test_res_cone_refuses_a_xi_that_pairs_to_zero_with_a_weight():
+    # xi is part of the input: no residue is taken, and the weight is
+    # named in label syntax
+    with pytest.raises(ValueError, match="xi pairs to zero with weight 1,-1$"):
+        res_cone([simple_term((1, 2), [((1, -1), 1), ((0, 1), 1)])], (1, 1))
+    t = simple_term((F(1), F(1)), [((F(1), F(0)), 1), ((F(0), F(1)), 1), ((F(1), F(1)), 1)])
+    with pytest.raises(ValueError, match="xi pairs to zero with weight 1,1$"):
+        res_cone([t], (F(1), F(-1)))
 
 
 # ----------------------------------------------------------------------
