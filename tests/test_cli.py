@@ -494,8 +494,11 @@ def _base_oracle(**changes):
         {"label": "q", "moment": ["-1"], "tangent_weights": [["-2"], ["-2"]]}]},
      "fixed points disagree on the manifold dimension"),
     # the frame follows from xi: a frame left in an old problem file is
-    # refused, not ignored
-    ("jk-residue", _residue_problem(coords=[["1", "0"], ["1", "3"]]),
+    # refused by name, whatever it holds, not ignored
+    ("jk-residue", _residue_problem(coords=5), "residue problem has unknown field 'coords'"),
+    ("jk-residue", _residue_problem(coords=[["1", "3"], ["1", "3"]]),
+     "residue problem has unknown field 'coords'"),
+    ("jk-residue", _residue_problem(coords=[["1", "0"], ["-1", "-3"]]),
      "residue problem has unknown field 'coords'"),
 ], ids=["scalar-moment", "top-level-list", "short-phase", "non-spanning-denominators",
         "non-object-fixed-point", "number-fixed-points", "string-fixed-points",
@@ -510,7 +513,8 @@ def _base_oracle(**changes):
         "missing-xi", "missing-phase", "missing-dens", "missing-base-group",
         "missing-top-degree", "missing-todd", "unknown-term-key", "unknown-problem-key",
         "unknown-base-key", "unknown-fixture-key", "base-of-another-group",
-        "no-fixed-points", "mixed-dimensions", "stale-coords"])
+        "no-fixed-points", "mixed-dimensions", "number-coords", "singular-coords",
+        "frame-outside-the-cone"])
 def test_malformed_input_is_an_input_error(capsys, tmp_path, command, doc, fragment):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

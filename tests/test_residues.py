@@ -459,9 +459,10 @@ def test_parsed_terms_pull_back_through_the_identity_unchanged():
     assert terms and all(t.pull_back(identity(problem["vars"])) == t for t in terms)
 
 
-def test_res_cone_refuses_a_xi_that_pairs_to_zero_with_a_weight():
-    # xi is part of the input: no residue is taken, and the weight is
-    # named in label syntax
+def test_build_cone_error_prints_the_weight_in_label_syntax():
+    # the cone that xi spans needs xi to pair nonzero with every weight;
+    # res_cone checks it on its input, takes no residue, and names the
+    # weight in label syntax
     with pytest.raises(ValueError, match="xi pairs to zero with weight 1,-1$"):
         res_cone([simple_term((1, 2), [((1, -1), 1), ((0, 1), 1)])], (1, 1))
     t = simple_term((F(1), F(1)), [((F(1), F(0)), 1), ((F(0), F(1)), 1), ((F(1), F(1)), 1)])
