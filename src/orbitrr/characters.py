@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateOrbitError, ExactDivisionError, InternalInconsistencyError
-from .linalg import Vec, vec, vec_add, vec_str
+from .linalg import Vec, num_str, vec, vec_add, vec_str
 from .roots import RootSystem, enumerate_weyl_group
 from .series import TruncatedSeries, positive_root_product
 
@@ -40,7 +40,8 @@ def weyl_dim(rs: RootSystem, labels) -> int:
     labels = check_weight(rs, labels, dominant=True, integral=True)
     value = orbit_volume(rs, vec_add(labels, rs.rho))
     if value.denominator != 1 or value <= 0:
-        raise InternalInconsistencyError("Weyl dimension %s is not a positive integer" % value)
+        raise InternalInconsistencyError("Weyl dimension %s is not a positive integer"
+                                         % num_str(value))
     return int(value)
 
 

@@ -18,9 +18,9 @@ import sys
 
 from .characters import character_series, orbit_volume, weyl_dim
 from .errors import ExactDivisionError, GenericityError, InternalInconsistencyError
-from .jsonio import (canonical_json, fraction_to_str, load_base_oracle, load_fixed_points,
-                     load_residue_problem, parse_weight_labels)
-from .linalg import vec_str
+from .jsonio import (canonical_json, load_base_oracle, load_fixed_points, load_residue_problem,
+                     parse_weight_labels)
+from .linalg import num_str, vec_str
 from .localization import (CalibrationRegistry, _fold, fibration_rr_base, fibration_rr_residue,
                            product_orbit_fixed_data, rr_orbit_fixedpoint)
 from .multiplicities import tensor_multiplicity
@@ -56,8 +56,7 @@ def _cmd_dim(args) -> int:
 def _cmd_orbit_volume(args) -> int:
     rs = parse_group_label(args.group)
     labels = parse_weight_labels(args.weight)
-    _emit({"group": rs.label, "weight": args.weight,
-           "volume": fraction_to_str(orbit_volume(rs, labels))})
+    _emit({"group": rs.label, "weight": args.weight, "volume": num_str(orbit_volume(rs, labels))})
     return 0
 
 
@@ -66,8 +65,7 @@ def _cmd_character(args) -> int:
     labels = parse_weight_labels(args.weight)
     series = character_series(rs, labels, args.trunc)
     _emit({"group": rs.label, "weight": args.weight, "trunc": args.trunc,
-           "series": series.to_text(),
-           "constant_term": fraction_to_str(series.constant_term())})
+           "series": series.to_text(), "constant_term": num_str(series.constant_term())})
     return 0
 
 
@@ -82,7 +80,7 @@ def _cmd_rr_orbit(args) -> int:
 def _cmd_jk_residue(args) -> int:
     problem = load_residue_problem(args.input)
     value, _ = res_cone(problem["terms"], problem["xi"])
-    _emit({"value": fraction_to_str(value)})
+    _emit({"value": num_str(value)})
     return 0
 
 
@@ -106,9 +104,9 @@ def _cmd_fibration(args) -> int:
     if args.route in ("residue", "both"):
         registry = CalibrationRegistry()
         residue = fibration_rr_residue(points, rs, lam, args.k, registry=registry)
-        doc["residue"] = fraction_to_str(residue)
+        doc["residue"] = num_str(residue)
         constant = registry.constant_for(rs, len(points[0].tangent_weights))
-        doc["constant"] = fraction_to_str(constant)
+        doc["constant"] = num_str(constant)
     if args.route in ("base", "both"):
         if not args.base_fixture:
             raise ValueError("--base-fixture is required for the base route")
@@ -122,15 +120,12 @@ def _cmd_fibration(args) -> int:
             raise ValueError("base fixture top degree %d does not fit the fixture's dim_C M_0 %s"
                              % (oracle.top_degree, vec_str(sorted(dims)) or "(no fixed points)"))
         base = fibration_rr_base(oracle, rs, lam, args.k)
-        doc["base"] = fraction_to_str(base)
+        doc["base"] = num_str(base)
     if args.route == "both":
-        diff = residue - base
-        doc["difference"] = fraction_to_str(diff)
-        _emit(doc)
-        if diff != 0:
-            raise InternalInconsistencyError("routes disagree by %s" % diff)
-        return 0
+        doc["difference"] = num_str(residue - base)
     _emit(doc)
+    if args.route == "both" and residue != base:
+        raise InternalInconsistencyError("routes disagree by %s" % doc["difference"])
     return 0
 
 

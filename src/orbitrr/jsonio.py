@@ -9,22 +9,18 @@ standalone residue problems.
 from __future__ import annotations
 
 import json
-from decimal import Decimal
 from fractions import Fraction
 
-from .linalg import Vec, rref, vec
+from .linalg import Vec, num_str, rref, vec
 from .localization import BaseIntersectionOracle, FixedPointDatum
 from .residues import RatExpTerm, make_term
 from .roots import RootSystem, parse_group_label
 from .series import TruncatedSeries
 
-
-def fraction_to_str(x) -> str:
-    # str(Decimal(n)) has no digit limit; str(n) refuses an exact result
-    # longer than sys.get_int_max_str_digits(), a limit that guards parsing
-    x = Fraction(x)
-    text = str(Decimal(x.numerator))
-    return text if x.denominator == 1 else "%s/%s" % (text, Decimal(x.denominator))
+# a residue problem bounds both: a pole of order m takes m slices and
+# (m - 1)!, and a change of frame steps through every numerator power
+MAX_MULTIPLICITY = 10_000
+MAX_NUMERATOR_DEGREE = 1_000
 
 
 def parse_fraction(s) -> Fraction:
@@ -83,9 +79,11 @@ def _pair_list(obj: dict, key: str, what: str) -> list:
     return rows
 
 
-def _parse_int(value, what: str, least: int) -> int:
+def _parse_int(value, what: str, least: int, most: int | None = None) -> int:
     if type(value) is not int or value < least:
         raise ValueError("%s must be an integer >= %d, not %r" % (what, least, value))
+    if most is not None and value > most:
+        raise ValueError("%s must be at most %d, not %d" % (what, most, value))
     return value
 
 
@@ -130,13 +128,13 @@ def parse_weight_labels(text: str) -> Vec:
 
 def canonical_json(obj) -> str:
     """json.dumps(obj, sort_keys=True, separators=(",", ":")) and a newline,
-    with ints of any length, as in ``fraction_to_str``."""
+    with ints of any length, rendered by ``linalg.num_str``."""
     def enc(o):
         if isinstance(o, dict):
             return "{%s}" % ",".join(json.dumps(k) + ":" + enc(o[k]) for k in sorted(o))
         if isinstance(o, (list, tuple)):
             return "[%s]" % ",".join(map(enc, o))
-        return str(Decimal(o)) if type(o) is int else json.dumps(o)
+        return num_str(o) if type(o) is int else json.dumps(o)
     return enc(obj) + "\n"
 
 
@@ -210,7 +208,7 @@ def parse_residue_problem(doc: dict) -> dict:
         _refuse_unknown(t, {"num", "phase", "dens"}, term)
         phase = _parse_covector(_field(t, "phase", term), num_vars, "phase")
         dens = [(_parse_covector(form, num_vars, "denominator"),
-                 _parse_int(mult, "denominator multiplicity", 1))
+                 _parse_int(mult, "denominator multiplicity", 1, MAX_MULTIPLICITY))
                 for form, mult in _pair_list(t, "dens", term)]
         if len(rref([form for form, _ in dens], num_vars)[1]) < num_vars:
             # such a term has no iterated residue: it would silently add 0
@@ -218,6 +216,7 @@ def parse_residue_problem(doc: dict) -> dict:
                              % (len(terms), num_vars))
         rows = _pair_list(t, "num", term) if "num" in t else [[[0] * num_vars, "1"]]
         num = TruncatedSeries(num_vars, _parse_table(rows, "num"), None)
+        _parse_int(num.max_degree(), "numerator degree", 0, MAX_NUMERATOR_DEGREE)
         terms.append(make_term(num_vars, num, phase, dens))
     return {"vars": num_vars, "terms": terms, "xi": xi}
 

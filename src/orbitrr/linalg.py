@@ -1,5 +1,6 @@
 """Small exact-rational linear algebra helpers on tuples whose entries
 are ints where integral and Fractions otherwise; ``vec`` alone decides.
+``num_str`` alone renders an exact number as text, at any length.
 
 Everything here works on immutable tuples so results can live inside
 frozen dataclasses and be hashed/cached.
@@ -7,6 +8,7 @@ frozen dataclasses and be hashed/cached.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -24,9 +26,16 @@ def vec(entries) -> Vec:
     return tuple(map(_exact, entries))
 
 
+def num_str(x) -> str:
+    """An int or Fraction as "p" or "p/q", with no digit limit: str(n) stops
+    at sys.get_int_max_str_digits(), a limit kept for parsing input."""
+    text = str(Decimal(x.numerator))
+    return text if x.denominator == 1 else "%s/%s" % (text, Decimal(x.denominator))
+
+
 def vec_str(v) -> str:
     """Comma-joined entries, the command line's label syntax: "1,-1", "1/2"."""
-    return ",".join(map(str, v))
+    return ",".join(map(num_str, v))
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:

@@ -33,14 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 from math import comb, factorial, prod
 
 from .characters import character_series, check_weight
 from .errors import (ConfigurationError, DegenerateOrbitError, GenericityError,
                      InadmissibleInputError, InternalInconsistencyError, SingularValueError)
 from .invariants import express_invariant, fundamental_degrees
-from .linalg import Vec, mat_det, vec, vec_str, vec_sub
+from .linalg import Vec, mat_det, num_str, vec, vec_dot, vec_str, vec_sub
 from .residues import RatExpTerm, canonical_dens, res_cone
 from .roots import RootSystem, WeylElement, enumerate_weyl_group
 from .series import TruncatedSeries, positive_root_product
@@ -98,13 +98,10 @@ def _generic_direction(covectors, rank: int) -> tuple[int, ...]:
     """Deterministic integer direction pairing nonzero with every given
     covector; powers of an increasing base eventually clear the finitely
     many walls."""
-    j = 0
-    while True:
-        base = j + 2
+    for base in count(2):
         xi = tuple(base**i for i in range(rank))
-        if all(sum(c * x for c, x in zip(cov, xi)) != 0 for cov in covectors):
+        if all(vec_dot(cov, xi) for cov in covectors):
             return xi
-        j += 1
 
 
 def rr_orbit_fixedpoint(rs: RootSystem, labels, k: int) -> int:
@@ -146,7 +143,8 @@ def rr_orbit_fixedpoint(rs: RootSystem, labels, k: int) -> int:
             raise InternalInconsistencyError("fixed-point sum has a pole at u = 1")
     value = Fraction(sum(sign * comb(e - shift, m) for e, sign in exps), prod(base_mults))
     if value.denominator != 1 or value < 0:
-        raise InternalInconsistencyError("fixed-point limit %s is not a nonneg integer" % value)
+        raise InternalInconsistencyError("fixed-point limit %s is not a nonneg integer"
+                                         % num_str(value))
     return int(value)
 
 
@@ -386,8 +384,8 @@ def fibration_rr_residue(points, rs: RootSystem, lam_labels, k: int, *,
     raw = raw_fibration_residue(points, rs, lam_labels, k)
     value = registry.constant_for(rs, len(points[0].tangent_weights)) * raw
     if value.denominator != 1:
-        raise SingularValueError(
-            "residue %s is not an integer: Lambda lies on a wall of the moment image" % value)
+        raise SingularValueError("residue %s is not an integer: Lambda lies on a wall of the "
+                                 "moment image" % num_str(value))
     return value
 
 

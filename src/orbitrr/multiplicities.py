@@ -13,7 +13,8 @@ from functools import lru_cache
 from itertools import product
 
 from .characters import check_weight
-from .linalg import Vec, vec_add, vec_sub
+from .errors import InternalInconsistencyError
+from .linalg import Vec, num_str, vec_add, vec_sub
 from .roots import RootSystem, enumerate_weyl_group
 
 
@@ -75,7 +76,7 @@ def _weight_multiplicities_cached(rs: RootSystem, lam: Vec) -> dict[tuple[int, .
                 j += 1
         value = 2 * acc / denom
         if value.denominator != 1 or value < 0:
-            raise ArithmeticError("Freudenthal recursion produced %s" % value)
+            raise InternalInconsistencyError("Freudenthal recursion produced %s" % num_str(value))
         if value:
             mult[mu] = int(value)
 
@@ -122,5 +123,5 @@ def tensor_multiplicity(rs: RootSystem, factors, target) -> int:
     for w in enumerate_weyl_group(rs):
         acc += w.sign * total.get(vec_sub(w.act(shifted), rs.rho), 0)
     if acc < 0:
-        raise ArithmeticError("negative tensor multiplicity %d" % acc)
+        raise InternalInconsistencyError("negative tensor multiplicity %s" % num_str(acc))
     return acc

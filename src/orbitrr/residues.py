@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import GenericityError
-from .linalg import Mat, Vec, identity, mat_det, primitive_covector, vec_dot, vec_str
+from .linalg import Mat, Vec, identity, mat_det, num_str, primitive_covector, vec_dot, vec_str
 from .series import TruncatedSeries
 
 LinearForm = tuple[int, ...]
@@ -244,7 +244,7 @@ def res_cone(terms: list[RatExpTerm], xi: Vec) -> tuple[Fraction, int]:
     other, _ = _side(terms, frame, tuple(-c for c in tie))
     if other != value:
         raise GenericityError("the phase lies on a wall: one-sided values %s and %s"
-                              % (value, other))
+                              % (num_str(value), num_str(other)))
     return value, 1
 
 

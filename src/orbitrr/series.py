@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .errors import ExactDivisionError, InternalInconsistencyError
-from .linalg import Mat
+from .linalg import Mat, num_str
 from .roots import RootSystem, enumerate_weyl_group
 
 Monomial = tuple[int, ...]
@@ -380,8 +380,8 @@ class TruncatedSeries:
         if not self.nums:
             return "0"
         parts = []
-        for m in sorted(self.nums, key=lambda mo: (sum(mo), mo)):
-            factors = [str(Fraction(self.nums[m], self.den))]
+        for m, c in sorted(self.coeffs.items(), key=lambda mc: (sum(mc[0]), mc[0])):
+            factors = [num_str(c)]
             for i, e in enumerate(m):
                 if e:
                     factors.append("x%d^%d" % (i + 1, e))

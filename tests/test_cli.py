@@ -7,10 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from orbitrr import multiplicities
 from orbitrr.cli import main
-from orbitrr.jsonio import (fixture_path, fraction_to_str, load_base_oracle,
-                            load_fixed_points, load_residue_problem, parse_fixed_points,
-                            parse_fraction, parse_residue_problem, parse_weight_labels)
+from orbitrr.characters import weyl_dim
+from orbitrr.jsonio import (MAX_MULTIPLICITY, MAX_NUMERATOR_DEGREE, fixture_path,
+                            load_base_oracle, load_fixed_points, load_residue_problem,
+                            parse_fixed_points, parse_fraction, parse_residue_problem,
+                            parse_weight_labels)
+from orbitrr.linalg import num_str
 from orbitrr.localization import rr_orbit_fixedpoint
 from orbitrr.roots import build_root_system
 
@@ -27,8 +31,8 @@ def run(capsys, *argv):
 def test_fraction_round_trip():
     assert parse_fraction("3/7") == F(3, 7)
     assert parse_fraction(4) == F(4)
-    assert fraction_to_str(F(-5, 3)) == "-5/3"
-    assert fraction_to_str(F(6, 3)) == "2"
+    assert num_str(F(-5, 3)) == "-5/3"
+    assert num_str(F(6, 3)) == "2"
     with pytest.raises(ValueError):
         parse_fraction(1.5)
 
@@ -175,6 +179,42 @@ def test_routes_that_disagree_exit_3_with_the_report(capsys, tmp_path):
     assert code == 3
     assert json.loads(captured.out)["difference"] == "-2"
     assert captured.err == "internal inconsistency: routes disagree by -2\n"
+
+
+class _PairingOffByOne:
+    """A root system whose pairing is off by one, so the Freudenthal
+    recursion produces a non-integer."""
+
+    def __init__(self, rs):
+        self._rs = rs
+
+    def __getattr__(self, name):
+        return getattr(self._rs, name)
+
+    def pairing(self, u, v):
+        return self._rs.pairing(u, v) + 1
+
+
+@pytest.mark.parametrize("case,message", [
+    ("freudenthal", "Freudenthal recursion produced 3/2"),
+    ("tensor", "negative tensor multiplicity -2"),
+])
+def test_oracle_inconsistencies_exit_3(capsys, monkeypatch, case, message):
+    # both used to escape main() as a bare ArithmeticError traceback
+    if case == "freudenthal":
+        cached = multiplicities._weight_multiplicities_cached
+        monkeypatch.setattr(multiplicities, "_weight_multiplicities_cached",
+                            lambda rs, lam: cached.__wrapped__(_PairingOffByOne(rs), lam))
+    else:
+        diagram = multiplicities.weight_multiplicities
+        monkeypatch.setattr(multiplicities, "weight_multiplicities",
+                            lambda rs, lam: {mu: -m for mu, m in diagram(rs, lam).items()})
+    code = main(["fibration", "--weight", "2", "--k", "1", "--route", "residue",
+                 "--fixture", str(FIXTURES / "su2_mixed_spins.json"),
+                 "--oracle-factors", "2;1;1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "internal inconsistency: %s\n" % message
 
 
 def test_exit_code_input_error(capsys):
@@ -352,6 +392,67 @@ def test_long_exact_results_are_printed(capsys, tmp_path):
         assert residue == (0, '{"value":"1/%d"}\n' % factorial(2999))
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_long_series_and_one_sided_values_are_printed(capsys, tmp_path):
+    # str() stops at the interpreter's int-to-str limit: the character
+    # series used to be computed and then exit 1, and the wall exit 1, not 2
+    weight = "1" + "0" * 1500
+    code, out = run(capsys, "character", "--group", "A2", "--weight", weight + ",1",
+                    "--trunc", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["constant_term"] == num_str(weyl_dim(build_root_system("A", 2),
+                                                    (10 ** 1500, 1)))
+    assert doc["series"].startswith(doc["constant_term"] + " + ")
+    coefficients = [part.split(" * ")[0] for part in doc["series"].split(" + ")]
+    assert max(map(len, coefficients)) > sys.get_int_max_str_digits()
+    path = tmp_path / "wall.json"
+    path.write_text(json.dumps({"vars": 1, "xi": ["1"], "terms": [
+        {"phase": ["0"], "dens": [[["1"], 1]]},
+        {"phase": ["1/7"], "dens": [[["1"], 3000]]}]}))
+    code = main(["jk-residue", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("genericity failure: the phase lies on a wall: "
+                                   "one-sided values ")
+    assert len(captured.err) > sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("term,message", [
+    ({"dens": [[["1"], MAX_MULTIPLICITY + 1]]},
+     "denominator multiplicity must be at most %d, not %d"
+     % (MAX_MULTIPLICITY, MAX_MULTIPLICITY + 1)),
+    ({"dens": [[["1"], 10 ** 20]]},
+     "denominator multiplicity must be at most %d, not %d" % (MAX_MULTIPLICITY, 10 ** 20)),
+    ({"num": [[[MAX_NUMERATOR_DEGREE + 1, 0], "1"]], "dens": [[["1", "0"], 1], [["0", "1"], 1]]},
+     "numerator degree must be at most %d, not %d"
+     % (MAX_NUMERATOR_DEGREE, MAX_NUMERATOR_DEGREE + 1)),
+    ({"num": [[[10 ** 20, 0], "1"]], "dens": [[["1", "0"], 1], [["0", "1"], 1]]},
+     "numerator degree must be at most %d, not %d" % (MAX_NUMERATOR_DEGREE, 10 ** 20)),
+], ids=["multiplicity-above-the-bound", "huge-multiplicity", "degree-above-the-bound",
+        "huge-degree"])
+def test_residue_problem_sizes_are_bounded(capsys, tmp_path, term, message):
+    # a pole of order 10^20 grew memory until the process was killed, and
+    # a frame change steps through every power of a numerator variable
+    n = len(term["dens"][0][0])
+    doc = {"vars": n, "xi": ["1"] * n, "terms": [dict(term, phase=["1"] * n)]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code = main(["jk-residue", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "input error: %s\n" % message
+
+
+def test_residue_problem_sizes_at_the_bounds_are_accepted(capsys, tmp_path):
+    path = tmp_path / "at_bounds.json"
+    path.write_text(json.dumps({"vars": 1, "xi": ["1"], "terms": [
+        {"num": [[[MAX_NUMERATOR_DEGREE], "1"]], "phase": ["0"], "dens": [[["1"], 1]]},
+        {"phase": ["1"], "dens": [[["1"], MAX_MULTIPLICITY]]}]}))
+    code, out = run(capsys, "jk-residue", "--input", str(path))
+    assert code == 0
+    assert out == '{"value":"%s"}\n' % num_str(F(1, factorial(MAX_MULTIPLICITY - 1)))
 
 
 def test_residue_problem_lengths_are_checked_before_allocating():

@@ -1,8 +1,9 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from orbitrr.linalg import kernel_basis, mat_det, mat_inv, solve_exact, vec, vec_str
+from orbitrr.linalg import kernel_basis, mat_det, mat_inv, num_str, solve_exact, vec, vec_str
 
 
 def _exact(values):
@@ -14,6 +15,25 @@ def test_vec_gives_ints_where_integral_and_fractions_otherwise():
     assert v == (2, 2, F(1, 2), 1) and _exact(v)
     assert [type(x) for x in v] == [int, int, F, int]
     assert vec_str(v) == "2,2,1/2,1" and vec_str(vec(["-2"])) == "-2"
+
+
+def test_num_str_renders_exact_numbers_of_any_length():
+    # str() refuses past the interpreter's int-to-str limit, which guards
+    # parsing; rendering has no limit and leaves that limit alone
+    limit = sys.get_int_max_str_digits()
+    n = -(10 ** 4999 + 7)
+    q = F(10 ** 4999 + 1, 3 * 10 ** 4999 + 7)
+    texts = (num_str(n), num_str(q), vec_str((n, q, 2)))
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(n)) == 5001 and len(str(q.denominator)) == 5000 > limit > 0
+        assert texts == (str(n), str(q), "%s,%s,2" % (n, q))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # below the limit the text is str()'s
+    for x in (0, -3, 10 ** 30, F(-5, 3), F(6, 3), F(1, 10 ** 20)):
+        assert num_str(x) == str(x)
 
 
 def test_det_of_int_matrix_is_exact_and_flips_sign_under_row_swap():
