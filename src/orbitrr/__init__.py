@@ -8,7 +8,7 @@ from .characters import character_series, orbit_volume, weyl_dim
 from .errors import (ConfigurationError, DegenerateOrbitError, ExactDivisionError,
                      GeneratorDeficiencyError, GenericityError, InadmissibleInputError,
                      InternalInconsistencyError, SingularValueError)
-from .invariants import express_invariant, fundamental_degrees, invariant_generators
+from .invariants import express_invariant, invariant_generators
 from .localization import (BaseIntersectionOracle, CalibrationRegistry, FixedPointDatum,
                            fibration_rr_base, fibration_rr_residue, product_orbit_fixed_data,
                            raw_fibration_residue, rr_leading_coefficient, rr_orbit_fixedpoint,
@@ -17,7 +17,7 @@ from .multiplicities import (tensor_multiplicity, weight_count_dimension,
                              weight_multiplicities)
 from .residues import RatExpTerm, make_term, merge_terms, res_cone, res_plus_1d
 from .roots import (RootSystem, WeylElement, build_root_system, enumerate_weyl_group,
-                    parse_group_label)
+                    fundamental_degrees, parse_group_label)
 from .series import TruncatedSeries, flag_integral, positive_root_product
 from .volumes import partition_fiber_volume
 

@@ -21,6 +21,9 @@ from .linalg import Vec, num_str, vec, vec_add, vec_str
 from .roots import RootSystem, enumerate_weyl_group
 from .series import TruncatedSeries, positive_root_product
 
+# exp_sum computes (trunc + |positive roots|)! and every monomial to that degree
+MAX_TRUNCATION = 1_000
+
 
 def check_weight(rs: RootSystem, labels, *, dominant=False, integral=False) -> Vec:
     labels = vec(labels)
@@ -84,8 +87,9 @@ def character_series(rs: RootSystem, labels, trunc: int) -> TruncatedSeries:
     weight mu enters through the linear form sum_i mu_i X_i of its Dynkin
     labels.  The constant term is the Weyl dimension.
     """
-    if trunc < 0:
-        raise ValueError("truncation degree must be >= 0")
+    if not 0 <= trunc <= MAX_TRUNCATION:
+        raise ValueError("truncation degree must be between 0 and %d, not %s"
+                         % (MAX_TRUNCATION, num_str(trunc)))
     labels = check_weight(rs, labels, dominant=True, integral=True)
     m = len(rs.positive_roots)
     work = trunc + m

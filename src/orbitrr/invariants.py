@@ -3,7 +3,8 @@ of invariant series in them.
 
 Generators are orbit power sums: for a dominant weight c the polynomial
 sum over the orbit W.c of <mu, X>^d is invariant of degree d.  For each
-fundamental degree of the group a candidate weight is chosen (fundamental
+fundamental degree of the group (``roots.fundamental_degrees``, derived
+from the positive roots) a candidate weight is chosen (fundamental
 weights first, then rho) so that the new generator enlarges the span of
 products of the ones already chosen; the Molien series supplies the
 expected dimension count as an independent check.
@@ -16,31 +17,14 @@ from functools import lru_cache
 
 from .errors import GeneratorDeficiencyError, InternalInconsistencyError
 from .linalg import Vec, rref, solve_exact
-from .roots import RootSystem, enumerate_weyl_group
+from .roots import RootSystem, enumerate_weyl_group, fundamental_degrees
 from .series import TruncatedSeries
-
-
-def fundamental_degrees(rs: RootSystem) -> tuple[int, ...]:
-    l = rs.rank
-    if rs.family == "A":
-        degs = list(range(2, l + 2))
-    elif rs.family in ("B", "C"):
-        degs = [2 * i for i in range(1, l + 1)]
-    elif rs.family == "D":
-        degs = sorted([2 * i for i in range(1, l)] + [l])
-    else:  # G2
-        degs = [2, 6]
-    return tuple(degs)
-
-
-def weyl_orbit(rs: RootSystem, v: Vec) -> tuple[Vec, ...]:
-    return tuple(sorted({w.act(v) for w in enumerate_weyl_group(rs)}))
 
 
 def orbit_power_sum(rs: RootSystem, v: Vec, degree: int) -> TruncatedSeries:
     """sum over the W-orbit of v of the linear form <mu, X>^degree."""
     out = TruncatedSeries(rs.rank, {}, None)
-    for mu in weyl_orbit(rs, v):
+    for mu in sorted({w.act(v) for w in enumerate_weyl_group(rs)}):
         out = out + TruncatedSeries.linear_form(mu) ** degree
     return out
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import comb
 
 from .linalg import Vec, num_str, rref, vec
 from .localization import BaseIntersectionOracle, FixedPointDatum
@@ -17,10 +18,12 @@ from .residues import RatExpTerm, make_term
 from .roots import RootSystem, parse_group_label
 from .series import TruncatedSeries
 
-# a residue problem bounds both: a pole of order m takes m slices and
-# (m - 1)!, and a change of frame steps through every numerator power
+# a residue problem bounds all three: a pole of order m takes m slices and
+# (m - 1)!, a change of frame steps through every numerator power, and a
+# Taylor shift can give a degree-d numerator all C(d + n, n) monomials
 MAX_MULTIPLICITY = 10_000
 MAX_NUMERATOR_DEGREE = 1_000
+MAX_NUMERATOR_MONOMIALS = 1_000_000
 
 
 def parse_fraction(s) -> Fraction:
@@ -216,7 +219,10 @@ def parse_residue_problem(doc: dict) -> dict:
                              % (len(terms), num_vars))
         rows = _pair_list(t, "num", term) if "num" in t else [[[0] * num_vars, "1"]]
         num = TruncatedSeries(num_vars, _parse_table(rows, "num"), None)
-        _parse_int(num.max_degree(), "numerator degree", 0, MAX_NUMERATOR_DEGREE)
+        degree = _parse_int(num.max_degree(), "numerator degree", 0, MAX_NUMERATOR_DEGREE)
+        if comb(degree + num_vars, num_vars) > MAX_NUMERATOR_MONOMIALS:
+            raise ValueError("a numerator of degree %d in %d variables may expand to more than "
+                             "%d monomials" % (degree, num_vars, MAX_NUMERATOR_MONOMIALS))
         terms.append(make_term(num_vars, num, phase, dens))
     return {"vars": num_vars, "terms": terms, "xi": xi}
 

@@ -39,10 +39,10 @@ from math import comb, factorial, prod
 from .characters import character_series, check_weight
 from .errors import (ConfigurationError, DegenerateOrbitError, GenericityError,
                      InadmissibleInputError, InternalInconsistencyError, SingularValueError)
-from .invariants import express_invariant, fundamental_degrees
+from .invariants import express_invariant
 from .linalg import Vec, mat_det, num_str, vec, vec_dot, vec_str, vec_sub
 from .residues import RatExpTerm, canonical_dens, res_cone
-from .roots import RootSystem, WeylElement, enumerate_weyl_group
+from .roots import RootSystem, WeylElement, enumerate_weyl_group, fundamental_degrees
 from .series import TruncatedSeries, positive_root_product
 
 

@@ -50,7 +50,7 @@ def weight_multiplicities(rs: RootSystem, labels) -> dict[tuple[int, ...], int]:
     return dict(_weight_multiplicities_cached(rs, labels))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _weight_multiplicities_cached(rs: RootSystem, lam: Vec) -> dict[tuple[int, ...], int]:
     rho = rs.rho
     lam_rho = vec_add(lam, rho)

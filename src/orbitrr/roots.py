@@ -10,17 +10,23 @@ the whole Weyl group acts by integer matrices.  The invariant form, with
 long roots of squared length 2, is stored on the weight basis as an
 integer matrix over a common denominator, so all pairings are exact.
 
+The Cartan matrix is the only per-family table.  The simple root lengths
+follow from its symmetrisation, the positive roots from closure under
+simple reflections, and the fundamental degrees from the positive roots
+by height (Kostant); the Weyl closure is checked against their product.
+
 Simple-root coordinates appear only at the edges: ``dynkin`` and
 ``weight_vector`` convert between them and labels, for the root-lattice
-membership test and the Freudenthal search box.
+membership test, the Freudenthal search box and the root heights.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import lcm, prod
 
 from .errors import ConfigurationError
 from .linalg import Mat, Vec, identity, mat_det, mat_inv, mat_mul, mat_vec, vec
@@ -34,50 +40,25 @@ SUPPORTED = {
 }
 
 
-def _cartan_and_lengths(family: str, rank: int) -> tuple[Mat, Vec]:
-    """Cartan matrix A[i][j] = <alpha_i, alpha_j_vee> and the half squared
-    lengths d_i of the simple roots (long roots normalized to length^2 = 2).
-    """
+def _cartan_matrix(family: str, rank: int) -> Mat:
+    """Cartan matrix A[i][j] = <alpha_i, alpha_j_vee>: the chain A_rank,
+    edited for the other families, so node j > 0 has an earlier neighbour."""
     a = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]
     for i in range(rank - 1):
         a[i][i + 1] = a[i + 1][i] = -1
-    d = [Fraction(1)] * rank
     if family == "B":
         # last simple root is short
         a[rank - 2][rank - 1] = -2
-        d[rank - 1] = Fraction(1, 2)
     elif family == "C":
         # last simple root is long, the others short
         a[rank - 1][rank - 2] = -2
-        d = [Fraction(1, 2)] * (rank - 1) + [Fraction(1)]
     elif family == "D":
         # fork: detach the chain end and attach it to the third-to-last node
         a[rank - 2][rank - 1] = a[rank - 1][rank - 2] = 0
         a[rank - 3][rank - 1] = a[rank - 1][rank - 3] = -1
     elif family == "G":
         a[0][1], a[1][0] = -1, -3
-        d = [Fraction(1, 3), Fraction(1)]
-    return tuple(tuple(row) for row in a), tuple(d)
-
-
-def positive_root_count(family: str, rank: int) -> int:
-    return {
-        "A": rank * (rank + 1) // 2,
-        "B": rank * rank,
-        "C": rank * rank,
-        "D": rank * (rank - 1),
-        "G": 6,
-    }[family]
-
-
-def weyl_order(family: str, rank: int) -> int:
-    return {
-        "A": factorial(rank + 1),
-        "B": 2**rank * factorial(rank),
-        "C": 2**rank * factorial(rank),
-        "D": 2 ** (rank - 1) * factorial(rank),
-        "G": 12,
-    }[family]
+    return tuple(tuple(row) for row in a)
 
 
 def _combine(coeffs: Vec, rows: Mat) -> Vec:
@@ -157,31 +138,32 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 def _build_cached(family: str, rank: int) -> RootSystem:
     if family not in SUPPORTED or rank not in SUPPORTED[family]:
         raise ConfigurationError("unsupported Cartan type %s%s" % (family, rank))
-    cartan, d = _cartan_and_lengths(family, rank)
-    # invariant form on the weight basis: (omega_i, omega_j) = (A^-1)_ij d_j
+    cartan = _cartan_matrix(family, rank)
+    # half squared lengths d_i of the simple roots: (alpha_i, alpha_j) =
+    # A_ij d_j is symmetric, so d_j = d_i A_ji / A_ij along each edge
+    d = [Fraction(1)]
+    for j in range(1, rank):
+        i = next(i for i in range(j) if cartan[i][j])
+        d.append(d[i] * Fraction(cartan[j][i], cartan[i][j]))
+    # invariant form on the weight basis, long roots of length^2 2:
+    # (omega_i, omega_j) = (A^-1)_ij d_j
     inv = mat_inv(cartan)
-    form = [[inv[i][j] * d[j] for j in range(rank)] for i in range(rank)]
+    top = max(d)
+    form = [[inv[i][j] * d[j] / top for j in range(rank)] for i in range(rank)]
     scale = lcm(*(x.denominator for row in form for x in row))
 
     # closure in simple-root coordinates, where positivity is visible:
     # s_i changes only coordinate i, by the i-th label of the root
-    simple = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-    positive = set(simple)
-    frontier = set(simple)
+    positive = set(identity(rank))
+    frontier = list(positive)
     while frontier:
-        new = set()
-        for root in frontier:
-            labels = _combine(root, cartan)
-            for i in range(rank):
-                img = root[:i] + (root[i] - labels[i],) + root[i + 1:]
-                if img not in positive and all(c >= 0 for c in img):
-                    new.add(img)
-        positive |= new
-        frontier = new
-    if len(positive) != positive_root_count(family, rank):
-        raise ConfigurationError(
-            "positive-root closure produced %d roots for %s%d, expected %d"
-            % (len(positive), family, rank, positive_root_count(family, rank)))
+        root = frontier.pop()
+        labels = _combine(root, cartan)
+        for i in range(rank):
+            img = root[:i] + (root[i] - labels[i],) + root[i + 1:]
+            if img not in positive and min(img) >= 0:
+                positive.add(img)
+                frontier.append(img)
     pos = tuple(_combine(r, cartan) for r in sorted(positive, key=lambda r: (sum(r), r)))
     if any(sum(r[k] for r in pos) != 2 for k in range(rank)):
         raise ConfigurationError("rho mismatch for %s%d" % (family, rank))
@@ -213,6 +195,16 @@ def parse_group_label(label: str) -> RootSystem:
 
 
 @lru_cache(maxsize=None)
+def fundamental_degrees(rs: RootSystem) -> tuple[int, ...]:
+    """Degrees of the basic Weyl-invariant polynomials, ascending.  By
+    Kostant the exponents d_i - 1 are the partition dual to the numbers
+    of positive roots of each height, so sum (d_i - 1) = |positive roots|
+    and prod d_i = |W|."""
+    per_height = Counter(sum(rs.weight_vector(r)) for r in rs.positive_roots).values()
+    return tuple(sorted(1 + sum(c >= j for c in per_height) for j in range(1, rs.rank + 1)))
+
+
+@lru_cache(maxsize=None)
 def enumerate_weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     """All Weyl group elements, by breadth-first closure over reduced words.
 
@@ -234,11 +226,10 @@ def enumerate_weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
                     seen[m] = elem
                     nxt.append(elem)
         frontier = nxt
-    if len(seen) != weyl_order(rs.family, rs.rank):
-        raise ConfigurationError(
-            "Weyl closure found %d elements for %s, expected %d"
-            % (len(seen), rs.label, weyl_order(rs.family, rs.rank))
-        )
+    order = prod(fundamental_degrees(rs))  # from the root closure, not this one
+    if len(seen) != order:
+        raise ConfigurationError("Weyl closure found %d elements for %s, expected %d"
+                                 % (len(seen), rs.label, order))
     for w in seen.values():
         if mat_det(w.matrix) != w.sign:
             raise ConfigurationError("sign/determinant mismatch in %s" % rs.label)

@@ -9,11 +9,11 @@ import pytest
 
 from orbitrr import multiplicities
 from orbitrr.cli import main
-from orbitrr.characters import weyl_dim
-from orbitrr.jsonio import (MAX_MULTIPLICITY, MAX_NUMERATOR_DEGREE, fixture_path,
-                            load_base_oracle, load_fixed_points, load_residue_problem,
-                            parse_fixed_points, parse_fraction, parse_residue_problem,
-                            parse_weight_labels)
+from orbitrr.characters import MAX_TRUNCATION, weyl_dim
+from orbitrr.jsonio import (MAX_MULTIPLICITY, MAX_NUMERATOR_DEGREE, MAX_NUMERATOR_MONOMIALS,
+                            fixture_path, load_base_oracle, load_fixed_points,
+                            load_residue_problem, parse_fixed_points, parse_fraction,
+                            parse_residue_problem, parse_weight_labels)
 from orbitrr.linalg import num_str
 from orbitrr.localization import rr_orbit_fixedpoint
 from orbitrr.roots import build_root_system
@@ -430,8 +430,13 @@ def test_long_series_and_one_sided_values_are_printed(capsys, tmp_path):
      % (MAX_NUMERATOR_DEGREE, MAX_NUMERATOR_DEGREE + 1)),
     ({"num": [[[10 ** 20, 0], "1"]], "dens": [[["1", "0"], 1], [["0", "1"], 1]]},
      "numerator degree must be at most %d, not %d" % (MAX_NUMERATOR_DEGREE, 10 ** 20)),
+    # x1^40 over (1,...,1) and e2..e6 ran for minutes in the Taylor shifts
+    ({"num": [[[40, 0, 0, 0, 0, 0], "1"]],
+      "dens": [[["1"] * 6, 1]] + [[["0"] * i + ["1"] + ["0"] * (5 - i), 1] for i in range(1, 6)]},
+     "a numerator of degree 40 in 6 variables may expand to more than %d monomials"
+     % MAX_NUMERATOR_MONOMIALS),
 ], ids=["multiplicity-above-the-bound", "huge-multiplicity", "degree-above-the-bound",
-        "huge-degree"])
+        "huge-degree", "expansion-above-the-bound"])
 def test_residue_problem_sizes_are_bounded(capsys, tmp_path, term, message):
     # a pole of order 10^20 grew memory until the process was killed, and
     # a frame change steps through every power of a numerator variable
@@ -453,6 +458,28 @@ def test_residue_problem_sizes_at_the_bounds_are_accepted(capsys, tmp_path):
     code, out = run(capsys, "jk-residue", "--input", str(path))
     assert code == 0
     assert out == '{"value":"%s"}\n' % num_str(F(1, factorial(MAX_MULTIPLICITY - 1)))
+
+
+def test_numerator_expansion_bound_is_C_of_degree_plus_vars():
+    # C(179 + 3, 3) = 988,260 and C(180 + 3, 3) = 1,004,731 monomials
+    def problem(degree):
+        return {"vars": 3, "xi": ["1"] * 3, "terms": [{
+            "num": [[[degree, 0, 0], "1"]], "phase": ["1"] * 3,
+            "dens": [[["1", "1", "1"], 1], [["0", "1", "0"], 1], [["0", "0", "1"], 1]]}]}
+    assert MAX_NUMERATOR_MONOMIALS == 10 ** 6
+    assert parse_residue_problem(problem(179))["vars"] == 3
+    with pytest.raises(ValueError, match="degree 180 in 3 variables may expand to more than"):
+        parse_residue_problem(problem(180))
+
+
+@pytest.mark.parametrize("trunc", [MAX_TRUNCATION + 1, 10 ** 20])
+def test_character_truncation_is_bounded(capsys, trunc):
+    # exp_sum computed (trunc + |positive roots|)! and every monomial below it
+    code = main(["character", "--group", "A1", "--weight", "1", "--trunc", str(trunc)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("input error: truncation degree must be between 0 and %d, not %d\n"
+                            % (MAX_TRUNCATION, trunc))
 
 
 def test_residue_problem_lengths_are_checked_before_allocating():

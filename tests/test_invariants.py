@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import orbitrr
+from orbitrr import roots
 from orbitrr.characters import character_series
 from orbitrr.errors import GeneratorDeficiencyError
 from orbitrr.invariants import (express_invariant, fundamental_degrees, invariant_generators,
@@ -12,13 +14,14 @@ from orbitrr.series import TruncatedSeries
 
 
 def test_fundamental_degrees_tables():
-    assert fundamental_degrees(build_root_system("A", 1)) == (2,)
-    assert fundamental_degrees(build_root_system("A", 2)) == (2, 3)
-    assert fundamental_degrees(build_root_system("A", 4)) == (2, 3, 4, 5)
-    assert fundamental_degrees(build_root_system("B", 2)) == (2, 4)
-    assert fundamental_degrees(build_root_system("C", 3)) == (2, 4, 6)
-    assert fundamental_degrees(build_root_system("D", 4)) == (2, 4, 4, 6)
-    assert fundamental_degrees(build_root_system("G", 2)) == (2, 6)
+    # textbook degrees; the package derives them from the positive roots by height
+    tables = {"A1": (2,), "A2": (2, 3), "A3": (2, 3, 4), "A4": (2, 3, 4, 5),
+              "B2": (2, 4), "B3": (2, 4, 6), "B4": (2, 4, 6, 8),
+              "C2": (2, 4), "C3": (2, 4, 6), "C4": (2, 4, 6, 8),
+              "D4": (2, 4, 4, 6), "G2": (2, 6)}
+    for label, degrees in tables.items():
+        assert fundamental_degrees(build_root_system(label[0], int(label[1]))) == degrees
+    assert fundamental_degrees is roots.fundamental_degrees is orbitrr.fundamental_degrees
 
 
 def test_molien_dimensions_match_degree_products():

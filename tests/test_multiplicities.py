@@ -3,8 +3,8 @@ from itertools import product
 import pytest
 
 from orbitrr.characters import weyl_dim
-from orbitrr.multiplicities import (tensor_multiplicity, weight_count_dimension,
-                                    weight_multiplicities)
+from orbitrr.multiplicities import (_weight_multiplicities_cached, tensor_multiplicity,
+                                    weight_count_dimension, weight_multiplicities)
 from orbitrr.roots import build_root_system
 
 
@@ -67,3 +67,13 @@ def test_adjoint_weight_diagram(label):
     expected = {g: 1 for g in roots}
     expected[(0,) * rs.rank] = rs.rank
     assert weight_multiplicities(rs, rs.positive_roots[-1]) == expected
+
+
+def test_freudenthal_memo_is_bounded():
+    # one entry per distinct highest weight: 312 small diagrams, not the
+    # 300 A1 diagrams of labels 0-299, whose Freudenthal sums take seconds
+    for label, bound in (("A1", 40), ("A2", 8), ("B2", 8), ("C2", 8), ("G2", 4), ("A3", 4)):
+        rs = build_root_system(label[0], int(label[1]))
+        for labels in product(range(bound), repeat=rs.rank):
+            weight_multiplicities(rs, labels)
+    assert _weight_multiplicities_cached.cache_info().currsize <= 256

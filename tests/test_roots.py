@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from orbitrr import roots
 from orbitrr.errors import ConfigurationError
 from orbitrr.linalg import mat_det, vec
-from orbitrr.roots import build_root_system, enumerate_weyl_group, parse_group_label, weyl_order
+from orbitrr.roots import SUPPORTED, build_root_system, enumerate_weyl_group, parse_group_label
+
+# textbook Weyl group orders, kept apart from the package, which derives them
+WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48, "B4": 384,
+               "C2": 8, "C3": 48, "C4": 384, "D4": 192, "G2": 12}
 
 
 @pytest.mark.parametrize("family,rank,n_pos", [
@@ -63,11 +68,22 @@ def test_structural_invariants(label):
     assert rs.rho == half
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C3", "D4", "G2"])
+def test_simple_root_lengths():
+    # squared lengths, long roots at 2: derived from the Cartan matrix alone
+    expected = {"B": lambda l: [2] * (l - 1) + [1], "C": lambda l: [1] * (l - 1) + [2],
+                "G": lambda l: [Fraction(2, 3), 2]}
+    for family, ranks in SUPPORTED.items():
+        for rank in ranks:
+            rs = build_root_system(family, rank)
+            lengths = [rs.pairing(a, a) for a in rs.simple_roots]
+            assert lengths == expected.get(family, lambda l: [2] * l)(rank), rs.label
+
+
+@pytest.mark.parametrize("label", list(WEYL_ORDERS))
 def test_weyl_enumeration(label):
     rs = parse_group_label(label)
     group = enumerate_weyl_group(rs)
-    assert len(group) == weyl_order(rs.family, rs.rank)
+    assert len(group) == WEYL_ORDERS[label]
     assert len({w.matrix for w in group}) == len(group)
     assert group[0].length == 0 and group[0].sign == 1
     assert sum(w.sign for w in group) == 0
@@ -78,6 +94,16 @@ def test_weyl_enumeration(label):
 def test_a2_and_g2_orders():
     assert len(enumerate_weyl_group(build_root_system("A", 2))) == 6
     assert len(enumerate_weyl_group(build_root_system("G", 2))) == 12
+
+
+def test_wrong_degrees_fail_the_weyl_closure_check(monkeypatch):
+    # |W| = prod of the degrees, which come from the root closure: the two
+    # closures check each other
+    rs = build_root_system("B", 3)
+    monkeypatch.setattr(roots, "fundamental_degrees", lambda rs: (2, 4, 4))
+    with pytest.raises(ConfigurationError, match="Weyl closure found 48 elements for B3, "
+                                                 "expected 32"):
+        enumerate_weyl_group.__wrapped__(rs)
 
 
 def test_weyl_closure_under_simple_reflections():
