@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .characters import character_series, orbit_volume, weyl_dim
+from .errors import GenericityError
+from .linalg import primitive_covector, rref, vec_dot
 from .localization import (BaseIntersectionOracle, fibration_rr_base, fibration_rr_residue,
                            product_orbit_fixed_data, rr_leading_coefficient, rr_orbit_fixedpoint,
                            todd_restriction_identity)
@@ -24,6 +26,9 @@ from .series import TruncatedSeries, flag_integral, positive_root_product
 from .volumes import partition_fiber_volume
 
 DEFAULT_SEED = 20270614
+RESIDUE_PROBLEMS = 30
+# the chamber-volume oracle's cost grows factorially in the fiber dimension
+MAX_FIBER_DIM = 4
 
 
 @dataclass
@@ -97,46 +102,47 @@ def suite_identity() -> list[CheckResult]:
     return out
 
 
-def _random_residue_problem(rng: random.Random):
+def _random_residue_problem(rng: random.Random, rank: int):
+    """Pairwise independent weights in Z^rank spanning it, each of
+    multiplicity 1 or 2, at most MAX_FIBER_DIM more than rank in all, and
+    a target p that is a positive combination of every weight."""
+    # each weight's first nonzero entry is positive and its entries lie in
+    # [-3, 3], so xi = (4^(rank-1), ..., 4, 1) pairs positively with all
+    xi = tuple(4 ** (rank - 1 - i) for i in range(rank))
     while True:
-        n = rng.randint(2, 4)
-        weights = []
-        for _ in range(n):
-            while True:
-                a, b = rng.randint(0, 3), rng.randint(-3, 3)
-                if (a, b) != (0, 0) and (a > 0 or (a == 0 and b > 0)):
-                    weights.append((Fraction(a), Fraction(b)))
-                    break
-        dets = [w1[0] * w2[1] - w1[1] * w2[0] for i, w1 in enumerate(weights)
-                for w2 in weights[i + 1:]]
-        if all(d == 0 for d in dets):
+        draws = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                 for _ in range(rng.randint(rank, rank + MAX_FIBER_DIM))]
+        # proportional draws share a primitive form: keep one of them
+        weights = list({primitive_covector(w)[0]: w for w in draws if vec_dot(w, xi) > 0}.values())
+        mults = [rng.randint(1, 2) for _ in weights]
+        if sum(mults) - rank > MAX_FIBER_DIM or len(rref(weights, rank)[1]) < rank:
             continue
-        # every weight has a >= 1 and |b| <= 3, or a = 0 < b, so (4, 1)
-        # pairs positively with all of them
-        xi = (Fraction(4), Fraction(1))
         choices = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
         coeffs = [rng.choice(choices) for _ in weights]
-        p = tuple(sum(c * w[i] for c, w in zip(coeffs, weights)) for i in range(2))
-        return weights, xi, p
+        p = tuple(sum(c * w[i] for c, w in zip(coeffs, weights)) for i in range(rank))
+        return list(zip(weights, mults)), xi, p
 
 
 def suite_residue(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Criterion 7: iterated residues against the simplicial chamber
-    volume oracle on seeded random two-variable problems."""
+    """Criterion 7: iterated residues against the chamber-volume oracle on
+    seeded random problems in 2, 3 and 4 variables; a refusal fails."""
     rng = random.Random(seed)
     bad = []
-    for idx in range(20):
-        weights, xi, p = _random_residue_problem(rng)
-        term = make_term(2, TruncatedSeries.constant(1, 2), p,
-                         [(w, 1) for w in weights])
-        value, _ = res_cone([term], xi)
-        oracle = partition_fiber_volume(weights, p)
+    for idx in range(RESIDUE_PROBLEMS):
+        rank = 2 + idx % 3
+        dens, xi, p = _random_residue_problem(rng, rank)
+        term = make_term(rank, TruncatedSeries.constant(1, rank), p, dens)
+        try:
+            value = res_cone([term], xi)[0]
+        except (GenericityError, ValueError) as exc:
+            value = "refused: %s" % exc
+        oracle = partition_fiber_volume([w for w, m in dens for _ in range(m)], p)
         if value != oracle:
-            bad.append((idx, weights, p, value, oracle))
+            bad.append((idx, dens, p, value, oracle))
     return [CheckResult(
         "residue-vs-volume", not bad,
-        "20 seeded 2-variable problems agree exactly (seed %d)" % seed
-        if not bad else "disagreements: %s" % bad[:2])]
+        "%d seeded problems in 2-4 variables with multiplicities 1-2 agree exactly (seed %d)"
+        % (RESIDUE_PROBLEMS, seed) if not bad else "disagreements: %s" % bad[:2])]
 
 
 def _su2_fibration_cases():

@@ -3,129 +3,80 @@
 For weights beta_1..beta_n spanning R^l and a target p, this computes the
 normalized (n-l)-dimensional volume of {t >= 0 : sum t_i beta_i = p},
 i.e. the density at p of the pushforward of Lebesgue measure on the
-positive orthant.  It parameterizes the fiber by an exact rational kernel
-basis and measures the resulting polytope by simplicial decomposition
-(interval length, fan-triangulated polygon area).  Fiber dimensions up to
-2 are supported, which covers every residue problem the acceptance suite
-draws.
+positive orthant.  An exact kernel basis makes the fiber a polytope
+{y : a_i . y <= b_i} in R^d, d = n - l, measured in any d by Lasserre's
+recursion (J. Optim. Theory Appl. 1983):
 
-This is deliberately independent of the residue kernel: it shares no
-code with it beyond exact linear algebra.
+    vol_d(P) = (1/d) sum_i (b_i / |a_ij|) vol_{d-1}(pi_j F_i),
+
+with F_i the face on a_i . y = b_i and pi_j dropping a coordinate j with
+a_ij != 0, so every step stays rational.  Its cost grows like m!/(m-d)!
+in the m distinct constraints, factorially in d: keep d small.
+
+This is deliberately independent of the residue kernel, which tests
+compare against it: it shares no code with it beyond exact linear algebra.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import combinations
 
-from .linalg import Vec, kernel_basis, mat_det, solve_exact, vec
+from .linalg import kernel_basis, mat_det, solve_exact, vec
 
 
 def partition_fiber_volume(weights, p) -> Fraction:
     """Normalized volume of {t >= 0 : sum t_i beta_i = p}."""
     cols = [vec(w) for w in weights]
+    p = vec(p)
     n = len(cols)
     if n == 0:
         raise ValueError("need at least one weight")
     l = len(cols[0])
+    for w in cols:
+        if len(w) != l:
+            raise ValueError("weights of lengths %d and %d" % (l, len(w)))
+    if len(p) != l:
+        raise ValueError("target of length %d for weights of length %d" % (len(p), l))
     b_rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(l))
-    rhs = [tuple(Fraction(int(i == k)) for i in range(l)) for k in range(l)]
-    section_cols = solve_exact(b_rows, rhs)
-    if section_cols is None:
-        raise ValueError("weights do not span the target space")
     kernel = kernel_basis(b_rows)
     if len(kernel) != n - l:
         raise ValueError("weights do not span the target space")
+    rhs = [tuple(Fraction(int(i == k)) for i in range(l)) for k in range(l)]
+    section_cols = solve_exact(b_rows, rhs)  # consistent: the weights span
 
     # t(y, p) = K y + S p ; Lebesgue on R^n = |det [K | S]| dy dp
     square = tuple(tuple(([k[i] for k in kernel] + [s[i] for s in section_cols])[j]
                          for j in range(n)) for i in range(n))
     jac = abs(mat_det(square))
 
-    p = vec(p)
     base = [sum(section_cols[k][i] * p[k] for k in range(l)) for i in range(n)]
-    d = n - l
-    if d == 0:
-        return jac if all(x >= 0 for x in base) else Fraction(0)
-    if d == 1:
-        return jac * _interval_length(kernel[0], base)
-    if d == 2:
-        return jac * _polygon_area(kernel[0], kernel[1], base)
-    raise ValueError("fiber dimension %d not supported" % d)
+    # t_i >= 0 reads -K_i . y <= base_i
+    return jac * _volume([(tuple(-k[i] for k in kernel), base[i]) for i in range(n)], n - l)
 
 
-def _interval_length(k: Vec, base) -> Fraction:
-    lo, hi = None, None
-    for a, b in zip(k, base):
-        if a == 0:
+def _volume(rows, d: int) -> Fraction:
+    """Volume of {y in R^d : a . y <= b for (a, b) in rows}; 0 or 1 at d = 0."""
+    tight: dict = {}
+    for a, b in rows:
+        j = next((j for j, x in enumerate(a) if x), None)
+        if j is None:
             if b < 0:
                 return Fraction(0)
             continue
-        bound = -b / a
-        if a > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    if lo is None or hi is None:
+        # scale to |a_j| = 1 for the first j with a_j != 0; a repeated
+        # facet would count twice, so equal constraints keep the tightest b
+        s = abs(Fraction(a[j]))
+        key = tuple(x / s for x in a)
+        tight[key] = min(b / s, tight.get(key, b / s))
+    if d == 0:
+        return Fraction(1)
+    if len(tight) < 2:
         raise ValueError("fiber is unbounded")
-    return max(Fraction(0), hi - lo)
-
-
-def _polygon_area(k1: Vec, k2: Vec, base) -> Fraction:
-    # constraints a_i . y >= -b_i with a_i = (k1[i], k2[i]), b_i = base[i]
-    rows = [((k1[i], k2[i]), base[i]) for i in range(len(base))]
-    effective = [(a, b) for a, b in rows if a != (0, 0)]
-    for a, b in rows:
-        if a == (0, 0) and b < 0:
-            return Fraction(0)
-    if _has_unbounded_direction([a for a, _ in effective]):
-        raise ValueError("fiber is unbounded")
-    vertices = set()
-    for (a1, b1), (a2, b2) in combinations(effective, 2):
-        det = a1[0] * a2[1] - a1[1] * a2[0]
-        if det == 0:
-            continue
-        y1 = (-b1 * a2[1] + b2 * a1[1]) / det
-        y2 = (-a1[0] * b2 + a2[0] * b1) / det
-        if all(a[0] * y1 + a[1] * y2 + b >= 0 for a, b in effective):
-            vertices.add((y1, y2))
-    if len(vertices) < 3:
-        return Fraction(0)
-    pts = list(vertices)
-    cx = sum(v[0] for v in pts) / len(pts)
-    cy = sum(v[1] for v in pts) / len(pts)
-
-    def half(v):
-        dx, dy = v[0] - cx, v[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cmp(u, v):
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return hu - hv
-        cross = (u[0] - cx) * (v[1] - cy) - (u[1] - cy) * (v[0] - cx)
-        return 0 if cross == 0 else (-1 if cross > 0 else 1)
-
-    pts.sort(key=cmp_to_key(cmp))
-    area = Fraction(0)
-    x0, y0 = pts[0]
-    for (x1, y1), (x2, y2) in zip(pts[1:], pts[2:]):
-        area += (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-    return abs(area) / 2
-
-
-def _has_unbounded_direction(normals) -> bool:
-    """The polygon is unbounded iff some nonzero direction pairs >= 0 with
-    every constraint normal; it suffices to check the perpendiculars of
-    the normals themselves."""
-    candidates = []
-    for a in normals:
-        candidates.append((a[1], -a[0]))
-        candidates.append((-a[1], a[0]))
-    for d in candidates:
-        if d == (0, 0):
-            continue
-        if all(a[0] * d[0] + a[1] * d[1] >= 0 for a in normals):
-            return True
-    return False
+    total = Fraction(0)
+    for a, b in tight.items():
+        j = next(j for j, x in enumerate(a) if x)
+        # on a . y = b: y_j = (b - sum_{k != j} a_k y_k) / a_j
+        facet = [(tuple(ar[k] - ar[j] * a[k] / a[j] for k in range(d) if k != j),
+                  br - ar[j] * b / a[j]) for ar, br in tight.items() if ar != a]
+        total += b * _volume(facet, d - 1)  # b / |a_j| with |a_j| = 1
+    return total / d

@@ -6,11 +6,15 @@ and each suite's results must equal its checks in the golden
 """
 
 import json
+import random
 import time
 from pathlib import Path
 
-from orbitrr.verify import (DEFAULT_SEED, SUITES, suite_asymptotics, suite_bwb,
-                            suite_fibration, suite_identity, suite_residue)
+import pytest
+
+from orbitrr.verify import (DEFAULT_SEED, MAX_FIBER_DIM, SUITES, _random_residue_problem,
+                            suite_asymptotics, suite_bwb, suite_fibration, suite_identity,
+                            suite_residue)
 
 # `orbitrr verify --suite all` prints every suite's checks in SUITES order;
 # each test compares its suite's results with that suite's share of them
@@ -63,4 +67,23 @@ def test_criterion_6_and_8_asymptotics_and_degree_bounds():
 
 
 def test_criterion_7_residue_vs_chamber_volume():
-    _assert_all("residue", suite_residue(DEFAULT_SEED))
+    t0 = time.time()
+    results = suite_residue(DEFAULT_SEED)
+    _assert_all("residue", results, budget=10, elapsed=time.time() - t0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_criterion_7_holds_on_other_seeds(seed):
+    # `verify --seed` is user input: any seed must pass, and stay cheap
+    [result] = suite_residue(seed)
+    assert result.passed, result.detail
+
+
+def test_residue_problems_stay_within_the_fiber_cap():
+    rng = random.Random(DEFAULT_SEED)
+    for idx in range(300):
+        rank = 2 + idx % 3
+        dens, xi, p = _random_residue_problem(rng, rank)
+        assert {m for _, m in dens} <= {1, 2}
+        assert sum(m for _, m in dens) - rank <= MAX_FIBER_DIM
+        assert len(xi) == len(p) == rank
