@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import count, product as iproduct
 from math import comb, factorial, prod
 
-from .characters import character_series, check_weight
+from .characters import character_series, check_weight, weyl_denominator
 from .errors import (ConfigurationError, DegenerateOrbitError, GenericityError,
                      InadmissibleInputError, InternalInconsistencyError, SingularValueError)
 from .invariants import express_invariant
@@ -175,8 +175,6 @@ def todd_restriction_identity(rs: RootSystem, w: WeylElement, trunc: int) -> boo
       sign(w) prod (1 - e^{-<w gamma, X>})^{-1}
         = e^{<w rho, X>} / prod (e^{<gamma,X>/2} - e^{-<gamma,X>/2}).
     """
-    from .characters import weyl_denominator
-
     m = len(rs.positive_roots)
     work = trunc + m
     root_poly = positive_root_product(rs)

@@ -1,9 +1,10 @@
 """Brute-force representation-theoretic oracles.
 
-Weight multiplicities come from the Freudenthal recursion; tensor-product
-multiplicities from convolving weight diagrams and antisymmetrizing over
-the Weyl group.  Nothing here touches the series or residue machinery,
-so these values are independent checks on both localization routes.
+Weight multiplicities come from the Freudenthal recursion, which fills one
+weight diagram a Weyl orbit at a time; tensor-product multiplicities from
+convolving weight diagrams and antisymmetrizing over the Weyl group.
+Nothing here touches the series or residue machinery, so these values
+are independent checks on both localization routes.
 """
 
 from __future__ import annotations
@@ -16,17 +17,6 @@ from .characters import check_weight
 from .errors import InternalInconsistencyError
 from .linalg import Vec, num_str, vec_add, vec_sub
 from .roots import RootSystem, enumerate_weyl_group
-
-
-def _dominantize(rs: RootSystem, v: Vec) -> Vec:
-    while True:
-        for i, c in enumerate(v):
-            if c < 0:
-                # reflect through the i-th simple wall
-                v = vec_sub(v, tuple(c * x for x in rs.simple_roots[i]))
-                break
-        else:
-            return v
 
 
 def _dominant_weights_below(rs: RootSystem, lam: Vec) -> list[Vec]:
@@ -52,40 +42,33 @@ def weight_multiplicities(rs: RootSystem, labels) -> dict[tuple[int, ...], int]:
 
 @lru_cache(maxsize=256)
 def _weight_multiplicities_cached(rs: RootSystem, lam: Vec) -> dict[tuple[int, ...], int]:
+    """Freudenthal's recursion over the dominant weights by depth, writing
+    each one's Weyl orbit into the one diagram once its multiplicity is
+    known.  A string weight mu + j*alpha (j >= 1) and its dominant
+    representative lie above mu, so that orbit has smaller depth and was
+    written first: the strings read only filled weights."""
     rho = rs.rho
     lam_rho = vec_add(lam, rho)
     norm_top = rs.pairing(lam_rho, lam_rho)
+    group = enumerate_weyl_group(rs)
 
-    dominants = _dominant_weights_below(rs, lam)
-    mult: dict[Vec, int] = {}
-    for mu in dominants:
-        if mu == lam:
-            mult[mu] = 1
-            continue
+    # lam is the only weight of depth 0, so it leads the dominant weights
+    diagram = {w.act(lam): 1 for w in group}
+    for mu in _dominant_weights_below(rs, lam)[1:]:
         mu_rho = vec_add(mu, rho)
-        denom = norm_top - rs.pairing(mu_rho, mu_rho)
         acc = Fraction(0)
         for g in rs.positive_roots:
-            j = 1
-            while True:
-                nu = vec_add(mu, tuple(j * c for c in g))
-                m = mult.get(_dominantize(rs, nu), 0)
-                if m == 0:
-                    break
+            nu = vec_add(mu, g)
+            while m := diagram.get(nu, 0):
                 acc += m * rs.pairing(nu, g)
-                j += 1
-        value = 2 * acc / denom
+                nu = vec_add(nu, g)
+        value = 2 * acc / (norm_top - rs.pairing(mu_rho, mu_rho))
         if value.denominator != 1 or value < 0:
             raise InternalInconsistencyError("Freudenthal recursion produced %s" % num_str(value))
         if value:
-            mult[mu] = int(value)
-
-    full: dict[tuple[int, ...], int] = {}
-    group = enumerate_weyl_group(rs)
-    for mu, m in mult.items():
-        for w in group:
-            full[w.act(mu)] = m
-    return full
+            for w in group:
+                diagram[w.act(mu)] = int(value)
+    return diagram
 
 
 def weight_count_dimension(rs: RootSystem, labels) -> int:

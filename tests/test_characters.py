@@ -69,6 +69,15 @@ def test_character_series_self_check_catches_a_bad_weyl_group(monkeypatch, label
         character_series(rs, (1,) * rs.rank, 2)
 
 
+def test_character_series_monomial_bound(monkeypatch):
+    # A2 has 3 positive roots: trunc 2 builds C(7, 2) = 21 monomials, trunc 3 C(8, 2) = 28
+    rs = build_root_system("A", 2)
+    monkeypatch.setattr("orbitrr.characters.MAX_CHARACTER_MONOMIALS", 21)
+    assert character_series(rs, (1, 1), 2).constant_term() == 8
+    with pytest.raises(ValueError, match="^truncation degree 3 for A2 expands to more than 21 "):
+        character_series(rs, (1, 1), 3)
+
+
 def test_character_series_constant_terms():
     rs = build_root_system("A", 1)
     for lam in range(5):

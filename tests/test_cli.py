@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 import tracemalloc
 from fractions import Fraction as F
 from math import factorial
@@ -9,7 +10,7 @@ import pytest
 
 from orbitrr import multiplicities
 from orbitrr.cli import main
-from orbitrr.characters import MAX_TRUNCATION, weyl_dim
+from orbitrr.characters import MAX_CHARACTER_MONOMIALS, MAX_TRUNCATION, weyl_dim
 from orbitrr.jsonio import (MAX_MULTIPLICITY, MAX_NUMERATOR_DEGREE, MAX_NUMERATOR_MONOMIALS,
                             fixture_path, load_base_oracle, load_fixed_points,
                             load_residue_problem, parse_fixed_points, parse_fraction,
@@ -472,14 +473,23 @@ def test_numerator_expansion_bound_is_C_of_degree_plus_vars():
         parse_residue_problem(problem(180))
 
 
-@pytest.mark.parametrize("trunc", [MAX_TRUNCATION + 1, 10 ** 20])
-def test_character_truncation_is_bounded(capsys, trunc):
-    # exp_sum computed (trunc + |positive roots|)! and every monomial below it
-    code = main(["character", "--group", "A1", "--weight", "1", "--trunc", str(trunc)])
+@pytest.mark.parametrize("group, weight, trunc, message", [
+    ("A1", "1", MAX_TRUNCATION + 1, "truncation degree must be between 0 and %d, not %d"
+     % (MAX_TRUNCATION, MAX_TRUNCATION + 1)),
+    ("A1", "1", 10 ** 20, "truncation degree must be between 0 and %d, not %d"
+     % (MAX_TRUNCATION, 10 ** 20)),
+    ("A2", "1,1", 200, "truncation degree 200 for A2 expands to more than %d monomials"
+     % MAX_CHARACTER_MONOMIALS),
+], ids=[str(MAX_TRUNCATION + 1), str(10 ** 20), "A2-200"])
+def test_character_truncation_is_bounded(capsys, group, weight, trunc, message):
+    # exp_sum computed (trunc + |positive roots|)! and every monomial below it;
+    # A2 at trunc 200, inside the degree bound, ran past 40 s
+    start = time.perf_counter()
+    code = main(["character", "--group", group, "--weight", weight, "--trunc", str(trunc)])
+    elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err == ("input error: truncation degree must be between 0 and %d, not %d\n"
-                            % (MAX_TRUNCATION, trunc))
+    assert code == 1 and captured.out == "" and elapsed < 1
+    assert captured.err == "input error: %s\n" % message
 
 
 def test_residue_problem_lengths_are_checked_before_allocating():

@@ -1,11 +1,14 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from orbitrr.characters import weyl_dim
-from orbitrr.multiplicities import (_weight_multiplicities_cached, tensor_multiplicity,
-                                    weight_count_dimension, weight_multiplicities)
-from orbitrr.roots import build_root_system
+from orbitrr.linalg import vec_add, vec_sub
+from orbitrr.multiplicities import (_dominant_weights_below, _weight_multiplicities_cached,
+                                    tensor_multiplicity, weight_count_dimension,
+                                    weight_multiplicities)
+from orbitrr.roots import build_root_system, enumerate_weyl_group
 
 
 def test_su2_weight_string():
@@ -77,3 +80,59 @@ def test_freudenthal_memo_is_bounded():
         for labels in product(range(bound), repeat=rs.rank):
             weight_multiplicities(rs, labels)
     assert _weight_multiplicities_cached.cache_info().currsize <= 256
+
+
+def _dominantize(rs, v):
+    while True:
+        for i, c in enumerate(v):
+            if c < 0:
+                # reflect through the i-th simple wall
+                v = vec_sub(v, tuple(c * x for x in rs.simple_roots[i]))
+                break
+        else:
+            return v
+
+
+def _reference_diagram(rs, lam):
+    # Freudenthal on the dominant weights alone, each string weight reflected
+    # back into the dominant chamber, then the orbits expanded in a second pass
+    lam_rho = vec_add(lam, rs.rho)
+    norm_top = rs.pairing(lam_rho, lam_rho)
+    mult = {}
+    for mu in _dominant_weights_below(rs, lam):
+        if mu == lam:
+            mult[mu] = 1
+            continue
+        mu_rho = vec_add(mu, rs.rho)
+        acc = Fraction(0)
+        for g in rs.positive_roots:
+            j = 1
+            while True:
+                nu = vec_add(mu, tuple(j * c for c in g))
+                m = mult.get(_dominantize(rs, nu), 0)
+                if m == 0:
+                    break
+                acc += m * rs.pairing(nu, g)
+                j += 1
+        value = 2 * acc / (norm_top - rs.pairing(mu_rho, mu_rho))
+        assert value.denominator == 1 and value >= 0
+        if value:
+            mult[mu] = int(value)
+    full = {}
+    for mu, m in mult.items():
+        for w in enumerate_weyl_group(rs):
+            full[w.act(mu)] = m
+    return full
+
+
+@pytest.mark.parametrize("label, top", [("A1", 60), ("A2", 3), ("B2", 3), ("C2", 3), ("G2", 3),
+                                        ("A3", 2), ("B3", 2), ("C3", 2), ("A4", 1), ("B4", 1),
+                                        ("C4", 1), ("D4", 1)])
+def test_weight_diagram_matches_the_dominant_chamber_walk(label, top):
+    # the orbit-filled diagram has the reference's weights, values and order
+    rs = build_root_system(label[0], int(label[1]))
+    for labels in product(range(top + 1), repeat=rs.rank):
+        diagram = weight_multiplicities(rs, labels)
+        expected = _reference_diagram(rs, labels)
+        assert diagram == expected
+        assert list(diagram.items()) == list(expected.items())
