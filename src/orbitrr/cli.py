@@ -21,7 +21,7 @@ from .errors import ExactDivisionError, GenericityError, InternalInconsistencyEr
 from .jsonio import (canonical_json, load_base_oracle, load_fixed_points, load_residue_problem,
                      parse_weight_labels)
 from .linalg import num_str, vec_str
-from .localization import (CalibrationRegistry, _fold, fibration_rr_base, fibration_rr_residue,
+from .localization import (CalibrationRegistry, fibration_rr_base, fibration_rr_residue,
                            product_orbit_fixed_data, rr_orbit_fixedpoint)
 from .multiplicities import tensor_multiplicity
 from .residues import res_cone
@@ -86,7 +86,11 @@ def _cmd_jk_residue(args) -> int:
 
 def _factor_sums(points) -> dict:
     """(moment, tangent multiset) -> summed symplectic factor of the points."""
-    return {key: factor for key, (_, factor) in _fold(points).items()}
+    sums: dict = {}
+    for pt in points:
+        key = (pt.moment, tuple(sorted(pt.tangent_weights)))
+        sums[key] = sums.get(key, 0) + pt.symplectic_factor
+    return sums
 
 
 def _cmd_fibration(args) -> int:

@@ -12,10 +12,11 @@ Three routes live here, sharing only the root-system data:
   multiset), so checks, phases and cone run once per key, in integer
   Dynkin labels; the integrand sums the (key, Weyl element)
   contributions per (phase, multiset).  Each contribution's orbit factor
-  times Todd units t / (1 - e^{-t}) is one exponential times the Todd
-  polynomial of the sign-normalised multiset; the polynomials and the
-  products per multiset are pure, so they are memoised per process in
-  bounded caches keyed only by group and multiset.  The constant of the
+  times Todd units t / (1 - e^{-t}) is one product per (multiset, Weyl
+  element), memoised in one bounded per-process cache keyed by group and
+  multiset: a sign-normalised multiset's products come from its Todd
+  polynomial by the Weyl denominator identity, any other's from its
+  sign-normalised entry by Todd(-t) = e^{-t} Todd(t).  The constant of the
   residue theorem is derived, not fitted: det(Cartan) / |W|, the 1/|W|
   of nonabelian localization times the order of the centre, which acts
   trivially when every tangent weight lies in the root lattice.  The
@@ -229,35 +230,31 @@ def _fold(points) -> dict:
 
 
 @lru_cache(maxsize=256)
-def _todd_polynomial(rs: RootSystem, positive: tuple[Vec, ...]):
-    """For a sorted multiset of weights with positive first nonzero entry: its
-    canonical denominators and, scale absorbed, prod(1 - e^{-<gamma,X>}) =
-    sum_u sign(u) e^{<u rho - rho,X>} times the Todd units to degree |positive| - rank."""
-    cap = len(positive) - rs.rank
-    canon, scale = canonical_dens([(t, 1) for t in positive])
-    poly = TruncatedSeries.exp_sum([(vec_sub(w.act(rs.rho), rs.rho), w.sign)
-                                    for w in enumerate_weyl_group(rs)], cap) * (1 / scale)
-    for t in positive:
-        one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
-        poly = poly * TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
-    return canon, poly.as_polynomial()
-
-
-@lru_cache(maxsize=256)
 def _tangent_products(rs: RootSystem, tangent: tuple[Vec, ...]):
     """For one sorted tangent-weight multiset: its canonical denominators
     and, per Weyl element w, the orbit factor prod(1 - e^{-<w gamma,X>})
-    times the Todd units, scale absorbed, up to degree len(tangent) - rank:
-    by the Weyl denominator identity and Todd(-t) = e^{-t} Todd(t), sign(w)
-    (-1)^f e^{<s,X>} times the Todd polynomial of the multiset with its f
-    weights of negative first nonzero entry negated, s = rho - w rho + their sum."""
+    times the Todd units, scale absorbed, up to degree len(tangent) - rank.
+    If every weight has positive first nonzero entry, the orbit factor is
+    sign(w) e^{<rho - w rho,X>} sum_u sign(u) e^{<u rho - rho,X>} (Weyl
+    denominator identity).  Otherwise, by Todd(-t) = e^{-t} Todd(t), each
+    product is (-1)^f e^{<s,X>} times the entry with those f weights, of
+    sum s, negated: one recursion into the sign-normalised multiset."""
+    cap = len(tangent) - rs.rank
     flipped = [t for t in tangent if next(c for c in t if c) < 0]
-    positive = sorted(tuple(-c for c in t) if t in flipped else t for t in tangent)
-    canon, poly = _todd_polynomial(rs, tuple(positive))
-    shift, sign = [sum(c) for c in zip(rs.rho, *flipped)], (-1) ** len(flipped)
-    return canon, tuple((TruncatedSeries.exp_sum([(vec_sub(shift, w.act(rs.rho)), w.sign * sign)],
-                                                 len(tangent) - rs.rank) * poly).as_polynomial()
-                        for w in enumerate_weyl_group(rs))
+    if flipped:
+        positive = sorted(tuple(-c for c in t) if t in flipped else t for t in tangent)
+        canon, products = _tangent_products(rs, tuple(positive))
+        shift = TruncatedSeries.exp_linear(tuple(map(sum, zip(*flipped))), cap)
+        return canon, tuple((shift * p * (-1) ** len(flipped)).as_polynomial() for p in products)
+    canon, scale = canonical_dens([(t, 1) for t in tangent])
+    group = enumerate_weyl_group(rs)
+    poly = TruncatedSeries.exp_sum([(vec_sub(w.act(rs.rho), rs.rho), w.sign) for w in group],
+                                   cap) * (1 / scale)
+    for t in tangent:
+        one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
+        poly = poly * TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
+    return canon, tuple((TruncatedSeries.exp_sum([(vec_sub(rs.rho, w.act(rs.rho)), w.sign)], cap)
+                         * poly).as_polynomial() for w in group)
 
 
 def _fibration_terms(folded: dict, rs: RootSystem, lam: Vec, k: int):

@@ -84,7 +84,6 @@ class WeylElement:
 @dataclass(frozen=True)
 class RootSystem:
     label: str
-    family: str
     rank: int
     cartan: Mat
     # derived from cartan, so left out of hashing and comparison
@@ -169,7 +168,6 @@ def _build_cached(family: str, rank: int) -> RootSystem:
         raise ConfigurationError("rho mismatch for %s%d" % (family, rank))
     return RootSystem(
         label="%s%d" % (family, rank),
-        family=family,
         rank=rank,
         cartan=cartan,
         cartan_inv=inv,

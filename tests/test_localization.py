@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -8,16 +8,16 @@ from orbitrr.characters import orbit_volume, weyl_dim
 from orbitrr.errors import (ConfigurationError, DegenerateOrbitError, InadmissibleInputError,
                             InternalInconsistencyError, SingularValueError)
 from orbitrr.jsonio import fixture_path, load_fixed_points, parse_fixed_points
-from orbitrr.linalg import identity
+from orbitrr.linalg import identity, vec_sub
 from orbitrr.localization import (BaseIntersectionOracle, CalibrationRegistry,
                                   FixedPointDatum, _fibration_terms, _fold, _generic_direction,
-                                  _tangent_products, _todd_polynomial,
+                                  _tangent_products,
                                   fibration_rr_base, fibration_rr_residue,
                                   product_orbit_fixed_data, raw_fibration_residue,
                                   rr_leading_coefficient, rr_orbit_fixedpoint,
                                   todd_restriction_identity)
 from orbitrr.multiplicities import tensor_multiplicity
-from orbitrr.residues import make_term, merge_terms, res_cone
+from orbitrr.residues import canonical_dens, make_term, merge_terms, res_cone
 from orbitrr.roots import build_root_system, enumerate_weyl_group
 from orbitrr.series import TruncatedSeries, positive_root_product
 
@@ -528,9 +528,64 @@ def test_memoised_products_are_shared_unchanged(a1):
     assert [p.to_text() for p in entry[1]] == before
 
 
-@pytest.mark.parametrize("memo", [_todd_polynomial, _tangent_products])
-def test_assembly_memos_are_bounded(memo):
-    assert isinstance(memo.cache_info().maxsize, int)
+def test_assembly_memo_is_bounded():
+    assert _tangent_products.cache_info().maxsize == 256
+
+
+def _reference_todd_polynomial(rs, positive):
+    # the two-memo assembly's Todd polynomial, uncached
+    cap = len(positive) - rs.rank
+    canon, scale = canonical_dens([(t, 1) for t in positive])
+    poly = TruncatedSeries.exp_sum([(vec_sub(w.act(rs.rho), rs.rho), w.sign)
+                                    for w in enumerate_weyl_group(rs)], cap) * (1 / scale)
+    for t in positive:
+        one_minus = 1 - TruncatedSeries.exp_linear(tuple(-c for c in t), cap + 1)
+        poly = poly * TruncatedSeries.linear_form(t, cap + 1).divide_exact(one_minus)
+    return canon, poly.as_polynomial()
+
+
+def _reference_tangent_products(rs, tangent):
+    # the two-memo assembly's products, uncached: every product from the
+    # Todd polynomial of the sign-normalised multiset in one step
+    flipped = [t for t in tangent if next(c for c in t if c) < 0]
+    positive = sorted(tuple(-c for c in t) if t in flipped else t for t in tangent)
+    canon, poly = _reference_todd_polynomial(rs, tuple(positive))
+    shift, sign = [sum(c) for c in zip(rs.rho, *flipped)], (-1) ** len(flipped)
+    return canon, tuple((TruncatedSeries.exp_sum([(vec_sub(shift, w.act(rs.rho)), w.sign * sign)],
+                                                 len(tangent) - rs.rank) * poly).as_polynomial()
+                        for w in enumerate_weyl_group(rs))
+
+
+def _orbit_product_multisets():
+    cases = [("A1", factors) for n in range(2, 6)
+             for factors in combinations_with_replacement([(1,), (2,), (3,)], n)]
+    cases += [("A2", [(1, 1), (1, 1)]), ("A2", [(2, 1), (1, 2)]),
+              ("B2", [(1, 0), (1, 0)]), ("G2", [(1, 0), (1, 0)])]
+    for label, factors in cases:
+        rs = build_root_system(label[0], int(label[1]))
+        for pt in product_orbit_fixed_data(rs, factors):
+            yield rs, tuple(sorted(pt.tangent_weights))
+
+
+HAND_MULTISETS = [
+    ("A1", ((-2,), (-2,), (2,), (2,))),
+    ("A1", ((F(-1, 2),), (1,), (F(1, 2),))),
+    ("A1", ((-3,), (-2,), (-2,))),
+    ("A2", ((-1, -1), (-1, 2), (1, 1), (1, 1))),
+    ("A2", ((-1, 2), (F(1, 3), 2), (2, -1))),
+    ("A2", ((-2, 1), (-1, -1), (-1, 2))),
+]
+
+
+def test_tangent_products_match_the_two_memo_assembly():
+    # each entry, whether built or derived from its sign-normalised entry,
+    # equals the one the Todd-polynomial memo gave
+    cases = dict.fromkeys(_orbit_product_multisets())
+    cases.update(dict.fromkeys((build_root_system(label[0], int(label[1])), tangent)
+                               for label, tangent in HAND_MULTISETS))
+    for rs, tangent in cases:
+        assert _tangent_products(rs, tangent) == _reference_tangent_products(rs, tangent), \
+            (rs.label, tangent)
 
 
 def _todd(t, cap):
@@ -569,13 +624,15 @@ def test_orbit_factor_is_one_exponential_times_the_weyl_denominator(label):
         assert orbit_factor(w) == TruncatedSeries.exp_linear(shift, 8) * base * w.sign
 
 
-def test_multisets_with_one_sign_normalised_form_share_a_todd_polynomial(a1):
-    # (-7, 3, 7) and (-7, -3, 7) both normalise to (3, 7, 7): the second
-    # multiset's products reuse the first one's Todd polynomial
-    hits = _todd_polynomial.cache_info().hits
+def test_multisets_with_one_sign_normalised_form_share_its_entry(a1):
+    # (-7, 3, 7) and (-7, -3, 7) both normalise to (3, 7, 7), which no
+    # other test names: the second multiset misses, and its one recursion
+    # hits the entry the first one built
     canon, _ = _tangent_products(a1, ((-7,), (3,), (7,)))
+    before = _tangent_products.cache_info()
     assert _tangent_products(a1, ((-7,), (-3,), (7,)))[0] is canon
-    assert _todd_polynomial.cache_info().hits == hits + 1
+    after = _tangent_products.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
 
 
 @pytest.mark.parametrize("name,lam,k", [("su2_mixed_spins.json", (2,), 2),
